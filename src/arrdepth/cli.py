@@ -67,8 +67,6 @@ def _default_seed():
 def build_parser():
     p = _Parser(prog="arrdepth", description="Exact depth measures for hyperplane arrangements.")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker budget for parallel-safe evaluations; results are identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("depth", help="depth of a query point")

@@ -160,104 +160,54 @@ def regression_depth(arr, q):
     return best, DepthCertificate(u, best, "closed")
 
 
-def _locally_generic(arr, on_idx):
-    m = len(on_idx)
-    if m == 0:
-        return True
-    normals = [arr[i].normal for i in on_idx]
-    return linalg.rank(normals) == m
+def _new_perturbed_cells(circuits, m):
+    """Sign patterns on m incident hyperplanes whose cell the perturbation creates.
 
-
-def _lambda_polytope(normals, sigma):
-    d = len(normals[0])
-    m = len(normals)
-    A = [[Fraction(sigma[j]) * normals[j][k] for j in range(m)] for k in range(d)]
-    A.append([Fraction(1)] * m)
-    b = [Fraction(0)] * d + [Fraction(1)]
-    return A, b
-
-
-def _optimize_lambda(A, b, j, fixed, sense):
-    keep = [k for k in range(len(A[0])) if k not in fixed]
-    if j not in keep:
-        return linprog.OPTIMAL, Fraction(0)
-    colmap = {k: i for i, k in enumerate(keep)}
-    A2 = [[row[k] for k in keep] for row in A]
-    c = [Fraction(0)] * len(keep)
-    c[colmap[j]] = Fraction(-1) if sense == "max" else Fraction(1)
-    status, _, value = linprog.simplex(A2, b, c)
-    if status != linprog.OPTIMAL:
-        return status, None
-    return status, (-value if sense == "max" else value)
-
-
-def _perturbed_cell_feasible(normals, indices, sigma):
-    """Does the system {sigma_j (a_j . y - eps^(i_j + 1)) > 0} have a solution
-    for every sufficiently small eps > 0?
-
-    Decided through the Motzkin transposition dual: the system is infeasible
-    iff some lambda >= 0 with sum lambda_j sigma_j a_j = 0 has a
-    lexicographically nonnegative offset combination. The lex sign of the
-    maximal combination is resolved stage by stage with exact LPs, in order of
-    increasing hyperplane index (larger eps powers dominate).
+    ``circuits`` are the signed circuits of the incident normals, in order of
+    hyperplane index; a pattern is a bitmask with bit j set for sigma_j = +1.
+    Yields, in increasing order, the patterns whose open cone is empty (some
+    circuit conforms) and whose perturbed cell is not (no conforming circuit
+    is positive at its lowest index).
     """
-    A, b = _lambda_polytope(normals, sigma)
-    fixed = set()
-    order = sorted(range(len(indices)), key=lambda j: indices[j])
-    for j in order:
-        if sigma[j] > 0:
-            status, val = _optimize_lambda(A, b, j, fixed, "max")
-            if status != linprog.OPTIMAL:
-                return True  # dual polytope empty: no certificate, cell exists
-            if val > 0:
-                return False
-        else:
-            status, val = _optimize_lambda(A, b, j, fixed, "min")
-            if status != linprog.OPTIMAL:
-                return True
-            if val > 0:
-                return True  # all duals lex-negative: cell exists
-        fixed.add(j)
-    return False  # zero objective: degenerate dual certificate
-
-
-def _central_cell_feasible(normals, sigma):
-    rows = [linalg.vscale(s, a) for s, a in zip(sigma, normals)]
-    return linprog.cone_witness(rows) is not None
+    for bits in range(2**m):
+        conforming = [(supp, plus) for supp, plus in circuits if plus == supp & bits]
+        if conforming and not any(plus & supp & -supp for supp, plus in conforming):
+            yield bits
 
 
 def open_regression_depth(arr, q):
     """Exact open regression depth (incident hyperplanes not counted).
 
     On locally generic queries this is the direct minimization of the open
-    ray count. When the query's incidence structure is degenerate (more than
-    d incident hyperplanes, or dependent incident normals) the value is the
-    maximum over the new cells created by the deterministic lexicographic
-    offset perturbation b_h -> b_h + eps^(h+1); the returned certificate then
-    witnesses the count inside the deepest perturbed cell.
+    ray count. Otherwise the value is the maximum over the new cells created
+    by the deterministic lexicographic offset perturbation
+    b_h -> b_h + eps^(h+1); the returned certificate then witnesses the count
+    inside the deepest perturbed cell.
+
+    Everything is read from the signed circuits of the incident normals, with
+    no LP. The query is locally generic iff there is none. A sign pattern
+    sigma on the incident hyperplanes gives a new cell iff its open cone
+    {y : sigma_j a_j.y > 0} is empty, i.e. some circuit conforms to sigma
+    (Gordan), while its perturbed cell {y : sigma_j (a_j.y - eps^(h_j+1)) > 0}
+    is not, i.e. no conforming circuit is positive at its lowest hyperplane
+    index, whose eps power dominates the offset combination (Motzkin).
     """
     if len(arr) == 0:
         u = _unit_direction(arr.dimension)
         return Fraction(0), DepthCertificate(u, Fraction(0), "open")
-    s_signs, ev = _residual_signs(arr, q)
-    on_idx = sorted(ev.on_set)
-    if _locally_generic(arr, on_idx):
+    s_signs = _signs_at(arr, q)
+    on_idx = [i for i, s in enumerate(s_signs) if s == 0]
+    circuits = linalg.signed_circuits([arr[i].normal for i in on_idx])
+    if not circuits:
         best, u = _min_count(arr, s_signs, "open")
         return best, DepthCertificate(u, best, "open")
 
-    normals = [arr[i].normal for i in on_idx]
-    m = len(on_idx)
     best = None
     best_u = None
-    for bits in range(2**m):
-        sigma = tuple(1 if (bits >> j) & 1 else -1 for j in range(m))
-        if _central_cell_feasible(normals, sigma):
-            continue  # survives unperturbed: maps to a neighboring face, not to F_q
-        if not _perturbed_cell_feasible(normals, on_idx, sigma):
-            continue
+    for bits in _new_perturbed_cells(circuits, len(on_idx)):
         local = list(s_signs)
         for j, i in enumerate(on_idx):
-            local[i] = sigma[j]
+            local[i] = 1 if bits >> j & 1 else -1
         val, u = _min_count(arr, local, "open")
         if best is None or val > best:
             best, best_u = val, u

@@ -4,9 +4,11 @@ A sub-arrangement k-encloses q when it splits into d+1 disjoint groups of
 size k such that every transversal (one hyperplane per group) gives q
 positive regression depth, which is exactly convex-hull membership of q in
 the transversal's dual points. Validity of a transversal therefore depends
-only on the underlying (d+1)-set, so the search memoizes per set and builds
-groups so that the last group is drawn from the indices compatible with every
-cross-group choice made so far.
+only on the underlying (d+1)-set. For an arrangement the valid sets are read
+once per query from the residual signs and the signed circuits of the
+normals (`tverberg.coverable_pieces`); for a point set they are found by
+exact hull tests. The search then builds groups so that the last group is
+drawn from the indices compatible with every cross-group choice made so far.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from itertools import combinations, product
 from . import linalg, linprog
 from .errors import CertificateError, ExactBudgetExceeded
 from .geometry import Arrangement, evaluate, point
+from .tverberg import coverable_pieces, max_packing
 
 
 @dataclass(frozen=True)
@@ -79,26 +82,22 @@ def verify_enclosure(arr: Arrangement, cert: EnclosureCertificate, strict=False)
 def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
     """Largest k admitting d+1 disjoint k-groups with all transversals valid.
 
-    `valid` decides a frozenset of d+1 indices. Groups are enumerated with the
-    smallest-first canonical order; the final group is any k-subset of the
-    indices compatible with all transversals through the chosen groups.
+    `valid` is the set of valid (d+1)-sets, as bitmasks. Groups are
+    enumerated with the smallest-first canonical order; the final group is
+    any k-subset of the indices compatible with all transversals through the
+    chosen groups.
     """
     nodes = 0
     best = 0
 
-    def transversals_ok(chosen, h):
-        for combo in product(*chosen):
-            if not valid(frozenset(combo + (h,))):
-                return False
-        return True
-
-    def extend(chosen, used, k):
+    def extend(chosen, partial, used, k):
+        # partial: the transversals through the chosen groups, as bitmasks
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise ExactBudgetExceeded("enclosure search budget exhausted", bound=best)
         if len(chosen) == d:
-            allowed = [h for h in range(n) if h not in used and transversals_ok(chosen, h)]
+            allowed = [h for h in range(n) if h not in used and all(m | 1 << h in valid for m in partial)]
             if len(allowed) < k:
                 return None
             return chosen + (tuple(allowed[:k]),)
@@ -109,13 +108,14 @@ def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
             rest = [h for h in range(n) if h > first and h not in used]
             for tail in combinations(rest, k - 1):
                 group = (first,) + tail
-                result = extend(chosen + (group,), used | set(group), k)
+                grown = [m | 1 << h for m in partial for h in group]
+                result = extend(chosen + (group,), grown, used | set(group), k)
                 if result is not None:
                     return result
         return None
 
     for k in range(k_cap, 0, -1):
-        found = extend(tuple(), frozenset(), k)
+        found = extend(tuple(), [0], frozenset(), k)
         if found is not None:
             best = k
             return k, found
@@ -125,34 +125,35 @@ def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
 def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshold=12):
     """Maximum k such that a sub-arrangement k-encloses q, with a certificate.
 
-    Exact for n <= exact_threshold and d <= 3; larger instances raise
-    ExactBudgetExceeded carrying the best lower bound found.
+    A (d+1)-set is a valid transversal iff it contains a minimal coverable
+    piece (`tverberg.coverable_pieces`); with ``strict`` (q interior to the
+    simplex of its dual points) iff it is itself a piece, which is then a
+    circuit free of incident hyperplanes. The k diagonal transversals of a
+    k-enclosure are disjoint coverable sets, so the search starts at
+    min(n // (d+1), HTvD). Exact for n <= exact_threshold and d <= 3; larger
+    instances raise ExactBudgetExceeded carrying the lower bound 1 when some
+    (d+1)-set is valid, else 0.
     """
     d = arr.dimension
     n = len(arr)
     q = point(q)
     if n < d + 1:
         return 0, None
-    ev = evaluate(arr, q)
-    memo = {}
-
-    def valid(subset):
-        hit = memo.get(subset)
-        if hit is None:
-            duals = [ev.dual_points[i] for i in sorted(subset)]
-            hit = _transversal_test(duals, q, strict)
-            memo[subset] = hit
-        return hit
-
+    pieces = coverable_pieces(arr, q)
     if n > exact_threshold or d > 3:
-        bound = 0
-        for combo in combinations(range(n), d + 1):
-            if valid(frozenset(combo)):
-                bound = 1
-                break
+        # n >= d+1, so every piece lies in some (d+1)-set.
+        bound = int(any(p.bit_count() == d + 1 for p in pieces) if strict else bool(pieces))
         raise ExactBudgetExceeded(f"n={n}, d={d} exceeds the exact enclosing-depth budget", bound=bound)
 
-    k, groups = _search_max_k(n, d, valid, n // (d + 1))
+    if strict:
+        valid = {p for p in pieces if p.bit_count() == d + 1}
+    else:
+        valid = set()
+        for piece in pieces:
+            rest = [h for h in range(n) if not piece >> h & 1]
+            for extra in combinations(rest, d + 1 - piece.bit_count()):
+                valid.add(piece | sum(1 << h for h in extra))
+    k, groups = _search_max_k(n, d, valid, min(n // (d + 1), max_packing(n, pieces)))
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)
@@ -170,14 +171,10 @@ def point_enclosing_depth(points, q, strict=False, exact_threshold=12):
         return 0
     if n > exact_threshold or d > 3:
         raise ExactBudgetExceeded(f"n={n}, d={d} exceeds the exact enclosing-depth budget")
-    memo = {}
-
-    def valid(subset):
-        hit = memo.get(subset)
-        if hit is None:
-            hit = _transversal_test([pts[i] for i in sorted(subset)], q, strict)
-            memo[subset] = hit
-        return hit
-
+    valid = {
+        sum(1 << i for i in combo)
+        for combo in combinations(range(n), d + 1)
+        if _transversal_test([pts[i] for i in combo], q, strict)
+    }
     k, _ = _search_max_k(n, d, valid, n // (d + 1))
     return k

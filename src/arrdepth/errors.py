@@ -65,4 +65,5 @@ class FlatMembershipError(ArrDepthError):
 
 
 class PrecisionExceeded(ArrDepthError):
-    """Raised when interval verification hits the precision ceiling."""
+    """Raised when the planar center-transversal solver exhausts its exact
+    critical directions without a verified solution."""

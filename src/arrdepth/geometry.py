@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 from . import linalg
@@ -134,6 +134,15 @@ class Arrangement:
     @property
     def total_weight(self) -> Fraction:
         return sum((h.weight for h in self.hyperplanes), Fraction(0))
+
+    @cached_property
+    def circuits(self) -> list[tuple[int, int]]:
+        """Signed circuits of the normals, as (support, positive) bitmasks.
+
+        Computed on first use and kept with the arrangement; see
+        `linalg.signed_circuits`.
+        """
+        return linalg.signed_circuits([h.normal for h in self.hyperplanes])
 
     def subset(self, indices) -> "Arrangement":
         return Arrangement(self.dimension, tuple(self.hyperplanes[i] for i in indices))

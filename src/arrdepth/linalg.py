@@ -5,7 +5,10 @@ ints are fine too, they coerce). Sizes here are tiny (d <= 3 or so per the
 desk-scale budgets), so plain Gaussian elimination is the right tool.
 """
 
+import math
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 
 def _rows(matrix):
@@ -139,6 +142,76 @@ def kernel_vector(matrix, ncols=None):
     for i, col in enumerate(pivots):
         x[col] = -m[i][fcol]
     return tuple(x)
+
+
+def _integer_vector(v):
+    """v scaled by the positive lcm of its denominators: same signs, same circuits."""
+    v = [Fraction(c) for c in v]
+    scale = reduce(math.lcm, (c.denominator for c in v), 1)
+    return [c.numerator * (scale // c.denominator) for c in v]
+
+
+def _circuit_signs(cols):
+    """Positive part (bitmask) of the dependency of ``cols``, or None if independent.
+
+    Every proper subset of ``cols`` must be independent, so the dependency,
+    if any, is unique up to scale and has full support. Fraction-free
+    elimination pivots on the first k-1 columns; row i then reads
+    p_i x_i + r_i x_last = 0, so with x_last > 0, x_i > 0 iff p_i and r_i
+    have opposite signs.
+    """
+    k = len(cols)
+    rows = [list(r) for r in zip(*cols)]
+    for c in range(k - 1):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        prow, a = rows[c], rows[c][c]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                b = row[c]
+                rows[i] = [a * x - b * y for x, y in zip(row, prow)]
+    if any(row[k - 1] for row in rows[k - 1 :]):
+        return None  # the last column has a pivot too: independent
+    pos = 1 << (k - 1)
+    for i in range(k - 1):
+        if (rows[i][i] > 0) != (rows[i][k - 1] > 0):
+            pos |= 1 << i
+    return pos
+
+
+def signed_circuits(vectors):
+    """Every signed circuit of a list of vectors, as (support, positive) bitmasks.
+
+    A circuit is a minimal linearly dependent subset C: its dependency
+    sum_{i in C} x_i v_i = 0 is unique up to a positive or negative scale, so
+    the two orientations (support, {i : x_i > 0}) and (support, {i : x_i < 0})
+    are both returned. Bit i stands for vectors[i]. Supports have at most
+    d+1 elements; they come in order of size, then lexicographically.
+    """
+    cols = [_integer_vector(v) for v in vectors]
+    d = len(cols[0]) if cols else 0
+    out = []
+    smaller = []  # supports of the circuits found with fewer elements
+    for k in range(1, d + 2):
+        found = []
+        for subset in combinations(range(len(cols)), k):
+            mask = 0
+            for i in subset:
+                mask |= 1 << i
+            if any(s & mask == s for s in smaller):
+                continue
+            local = _circuit_signs([cols[i] for i in subset])
+            if local is None:
+                continue
+            pos = 0
+            for j, i in enumerate(subset):
+                if local >> j & 1:
+                    pos |= 1 << i
+            found.append(mask)
+            out.append((mask, pos))
+            out.append((mask, mask ^ pos))
+        smaller += found
+    return out
 
 
 def dot(u, v):

@@ -152,21 +152,12 @@ def _in_hull_rec(points, q):
     d = len(q)
     A = [[diffs[j][i] for j in range(n - 1)] for i in range(d)]
     rhs = list(linalg.vsub(q, base))
-    sol = _solve_overdetermined(A, rhs)
+    sol = linalg.solve_consistent(A, rhs)  # unique: the columns are independent
     if sol is None:
         return False  # q outside the affine hull
     lam = list(sol)
     lam0 = Fraction(1) - sum(lam)
     return lam0 >= 0 and all(v >= 0 for v in lam)
-
-
-def _solve_overdetermined(A, b):
-    """Exact solve of a full-column-rank (possibly tall) system, or None."""
-    sol = linalg.solve_consistent(A, b)
-    if sol is None:
-        return None
-    # Verify (solve_consistent already rejects inconsistency, keep it cheap).
-    return sol
 
 
 def cone_witness(rows):
@@ -222,23 +213,6 @@ def interior_point(eq_rows, eq_rhs, strict_rows, strict_rhs):
     if status != OPTIMAL or value is None or value <= 0:
         return None
     return tuple(x[j] - x[d + j] for j in range(d))
-
-
-def max_coordinate(A, b, j, fixed_zero=()):
-    """Maximize x_j over {x >= 0, A x = b, x_k = 0 for k in fixed_zero}.
-
-    Returns (status, value). The callers only use this on bounded polytopes.
-    """
-    ncols = len(A[0]) if A else 0
-    keep = [k for k in range(ncols) if k not in set(fixed_zero)]
-    if j not in keep:
-        return OPTIMAL, Fraction(0)
-    colmap = {k: i for i, k in enumerate(keep)}
-    A2 = [[row[k] for k in keep] for row in A]
-    obj = [Fraction(0)] * len(keep)
-    obj[colmap[j]] = Fraction(1)
-    status, _, value = maximize(A2, b, obj)
-    return status, value
 
 
 def recession_direction(rows):

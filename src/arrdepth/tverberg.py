@@ -24,7 +24,7 @@ from . import linalg, linprog
 from .cells import enumerate_faces
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, MoveNotFound, PartitionError, SolverBudgetExceeded
-from .geometry import Arrangement, evaluate, point
+from .geometry import Arrangement, point
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +506,44 @@ def exhaustive_tverberg(arr, r, max_partitions=200_000):
 
 
 def _good_pieces(n, d, contains):
-    """Minimal coverable subsets (size <= d+1 by Caratheodory), grouped by lowest element."""
+    """Coverable subsets of size <= d+1 (enough by Caratheodory), as bitmasks."""
+    return [
+        sum(1 << i for i in subset)
+        for size in range(1, d + 2)
+        for subset in combinations(range(n), size)
+        if contains(subset)
+    ]
+
+
+def coverable_pieces(arr, q):
+    """Minimal sets of hyperplanes whose dual points have q in their convex hull, as bitmasks.
+
+    The dual point of h is q - (s_h/|a_h|^2) a_h, with residual s_h = a_h.q - b_h,
+    so q lies in the hull of S's dual points iff some h in S has s_h = 0, or
+    some nonzero x >= 0 has sum x_h s_h a_h = 0 (Gordan's alternative). Such
+    an x is a sum of signed circuits of the normals whose signs agree with the
+    residual signs. The minimal coverable sets are therefore the singletons
+    {h} with s_h = 0 and the circuit supports free of them whose positive part
+    is exactly their set of positive residuals.
+    """
+    q = point(q)
+    pos = zero = 0
+    for i, h in enumerate(arr):
+        s = h.residual(q)
+        if s > 0:
+            pos |= 1 << i
+        elif s == 0:
+            zero |= 1 << i
+    pieces = [1 << i for i in range(len(arr)) if zero >> i & 1]
+    pieces += [supp for supp, plus in arr.circuits if not supp & zero and plus == supp & pos]
+    return pieces
+
+
+def max_packing(n, pieces):
+    """Maximum number of disjoint pieces (bitmasks over range(n)), by subset DP."""
     by_low = [[] for _ in range(n)]
-    for size in range(1, d + 2):
-        for subset in combinations(range(n), size):
-            if contains(subset):
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                by_low[subset[0]].append(mask)
-    return by_low
-
-
-def _max_packing(n, by_low):
-    """Maximum number of disjoint pieces, by subset DP over the ground set."""
+    for piece in pieces:
+        by_low[(piece & -piece).bit_length() - 1].append(piece)
     dp = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
@@ -538,34 +562,26 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
 
     A part works iff q lies in the convex hull of its dual points, which is
     monotone under adding hyperplanes; the maximum over partitions therefore
-    equals the maximum number of disjoint minimal coverable subsets, computed
-    exactly by a subset DP. Beyond the exact threshold a greedy lower bound is
-    attached to the raised ExactBudgetExceeded.
+    equals the maximum number of disjoint minimal coverable sets. Those are
+    read from the residual signs of q and the cached signed circuits of the
+    normals (`coverable_pieces`), and packed exactly by a subset DP. Beyond
+    the exact threshold the raised ExactBudgetExceeded carries a greedy lower
+    bound: pieces taken smallest first, then in lexicographic order, when
+    disjoint from those already taken.
     """
     n = len(arr)
     q = point(q)
     if n == 0:
         return 0
-    ev = evaluate(arr, q)
-    duals = ev.dual_points
-
-    def contains(subset):
-        return linprog.hull_membership_small([duals[i] for i in subset], q)
-
+    pieces = coverable_pieces(arr, q)
     if n > exact_threshold:
-        used = set()
-        bound = 0
-        for size in range(1, arr.dimension + 2):
-            for subset in combinations(range(n), size):
-                if used.intersection(subset):
-                    continue
-                if contains(subset):
-                    used.update(subset)
-                    bound += 1
+        used = bound = 0
+        for piece in sorted(pieces, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1])):
+            if not piece & used:
+                used |= piece
+                bound += 1
         raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=bound)
-
-    by_low = _good_pieces(n, arr.dimension, contains)
-    return _max_packing(n, by_low)
+    return max_packing(n, pieces)
 
 
 def tverberg_point_depth(points, q, exact_threshold=12):
@@ -582,5 +598,4 @@ def tverberg_point_depth(points, q, exact_threshold=12):
     if n > exact_threshold:
         raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}")
     d = len(q)
-    by_low = _good_pieces(n, d, contains)
-    return _max_packing(n, by_low)
+    return max_packing(n, _good_pieces(n, d, contains))

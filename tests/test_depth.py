@@ -106,35 +106,34 @@ def test_open_depth_duplicate_lines():
 
 def test_open_depth_degenerate_matches_explicit_perturbation():
     # replace the symbolic offsets by an actual tiny epsilon and take the max
-    # open depth over the perturbed faces reaching into a small box around q
-    from arrdepth import linprog
+    # open depth over the new cells: the cells of the perturbed arrangement
+    # reaching into a small box around q whose signs on the lines through q
+    # no cell of the unperturbed arrangement has
+    from arrdepth import linalg, linprog
     from arrdepth.cells import faces_2d
     from arrdepth.geometry import Arrangement, Hyperplane
 
+    def cells_near(arr, q, tol):
+        lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
+        for f in faces_2d(lines):
+            if 0 in f.signs:
+                continue
+            stricts = [(s * a[0], s * a[1]) for (a, c), s in zip(lines, f.signs)]
+            st_rhs = [s * c for (a, c), s in zip(lines, f.signs)]
+            stricts += [(1, 0), (-1, 0), (0, 1), (0, -1)]
+            st_rhs += [q[0] - tol, -(q[0] + tol), q[1] - tol, -(q[1] + tol)]
+            if linprog.interior_point([], [], stricts, st_rhs) is not None:
+                yield f
+
     def explicit(arr, q, eps=Fraction(1, 10**7), tol=Fraction(1, 10**3)):
+        on = [i for i, h in enumerate(arr) if h.residual(q) == 0]
+        old = {tuple(f.signs[i] for i in on) for f in cells_near(arr, q, tol)}
         pert = Arrangement(
             arr.dimension,
             tuple(Hyperplane(h.normal, h.offset + eps ** (i + 1), h.weight) for i, h in enumerate(arr)),
         )
-        lines = [((h.normal[0], h.normal[1]), h.offset) for h in pert]
-        best = None
-        for f in faces_2d(lines):
-            eqs, eq_rhs, stricts, st_rhs = [], [], [], []
-            for (a, c), s in zip(lines, f.signs):
-                if s == 0:
-                    eqs.append(a)
-                    eq_rhs.append(c)
-                else:
-                    stricts.append((s * a[0], s * a[1]))
-                    st_rhs.append(s * c)
-            stricts += [(1, 0), (-1, 0), (0, 1), (0, -1)]
-            st_rhs += [q[0] - tol, -(q[0] + tol), q[1] - tol, -(q[1] + tol)]
-            if linprog.interior_point(eqs, eq_rhs, stricts, st_rhs) is None:
-                continue
-            v, _ = open_regression_depth(pert, f.rep)
-            if best is None or v > best:
-                best = v
-        return best
+        new = [f for f in cells_near(pert, q, tol) if tuple(f.signs[i] for i in on) not in old]
+        return max((open_regression_depth(pert, f.rep)[0] for f in new), default=None)
 
     cases = [
         (arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((1, -1), 0)]), (Fraction(0), Fraction(0))),
@@ -142,8 +141,33 @@ def test_open_depth_degenerate_matches_explicit_perturbation():
         (arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((1, 2), 9)]), (Fraction(0), Fraction(0))),
         (arrangement(2, [((1, 0), 0), ((3, 0), 0), ((5, 0), 0)]), (Fraction(0), Fraction(1))),
     ]
+    # seeded: 2-4 lines through q (one maybe doubled, written scaled) plus 1-3 others
+    rng = random.Random("open-depth-explicit")
+    while len(cases) < 16:
+        q = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
+        rows = []
+        for _ in range(rng.randint(2, 4)):
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if any(a):
+                rows.append((a, a[0] * q[0] + a[1] * q[1], rng.choice((0, 1, 1, 2))))
+        if rows and rng.random() < 0.5:
+            a, b, w = rows[0]
+            rows.append(((2 * a[0], 2 * a[1]), 2 * b, w))
+        for _ in range(rng.randint(1, 3)):
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if any(a):
+                rows.append((a, rng.randint(-4, 4), 1))
+        rng.shuffle(rows)
+        arr = arrangement(2, rows)
+        incident = [h.normal for h in arr if h.residual(q) == 0]
+        if linalg.rank(incident) < len(incident):  # not locally generic
+            cases.append((arr, q))
     for arr, q in cases:
-        assert open_regression_depth(arr, q)[0] == explicit(arr, q)
+        value, cert = open_regression_depth(arr, q)
+        expected = explicit(arr, q)
+        assert cert.rule == ("open" if expected is None else "open-perturbed"), (arr, q)
+        if expected is not None:
+            assert value == expected, (arr, q)
 
 
 def test_open_le_closed_randomized():
