@@ -7,51 +7,39 @@ Two related tasks live here:
   minimization over rays only ever needs these representatives, because the
   ray count is constant on each cell and never smaller on a cell boundary
   than in an adjacent cell.
-* affine faces: sign-vector enumeration of the faces of an affine arrangement
-  (every face gets a rational relative-interior representative).
+* affine faces: every face of an affine arrangement, each with its sign
+  vector and a rational relative-interior representative.
 
-d = 2 is handled geometrically (pair intersections + angular sweeps), d = 3
-by slicing the central arrangement with the planes z = +-1, and higher
-dimensions by incremental sign vectors backed by exact LP feasibility.
+One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986). The
+faces on a hyperplane H are the faces of its trace arrangement {H' cap H},
+enumerated in d-1 coordinates of H and lifted back; the cells are reached by
+nudging each facet representative to both sides of H. d = 2 is the planar
+sweep `faces_2d`, which does the same one dimension down, and d = 0 is a
+point. A central arrangement in d >= 3 is read off its two affine slices
+u_d = +-1, which every open cell meets.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import combinations
+from operator import mul
 
-from . import linalg, linprog
+from . import linalg
 
 
 def canonical_line(v):
     """Canonical representative of the line through a rational vector (sign/scale free)."""
-    import math
-    from functools import reduce
-
-    fr = [Fraction(c) for c in v]
-    scale = reduce(math.lcm, (c.denominator for c in fr), 1)
-    ints = [int(c * scale) for c in fr]
-    g = reduce(math.gcd, (abs(c) for c in ints))
-    if g:
-        ints = [c // g for c in ints]
-    lead = next((c for c in ints if c != 0), 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    ints = linalg.integer_vector(v)
+    if next((c for c in ints if c != 0), 0) < 0:
+        ints = tuple(-c for c in ints)
+    return ints
 
 
 def normalize_ray(v):
     """Scale a rational vector by a positive rational to coprime integers."""
-    import math
-    from functools import reduce
-
-    fr = [Fraction(c) for c in v]
-    scale = reduce(math.lcm, (c.denominator for c in fr), 1)
-    ints = [int(c * scale) for c in fr]
-    g = reduce(math.gcd, (abs(c) for c in ints))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    return tuple(Fraction(c) for c in linalg.integer_vector(v))
 
 
 def _distinct_lines(normals):
@@ -95,10 +83,8 @@ def direction_cells(normals, d):
         return [tuple(e)]
     if d == 2:
         reps = _direction_cells_2d(lines)
-    elif d == 3:
-        reps = _direction_cells_3d(lines)
     else:
-        reps = _direction_cells_lp(lines, d)
+        reps = _direction_cells_sliced(lines, d)
     return [normalize_ray(u) for u in reps]
 
 
@@ -123,56 +109,23 @@ def _direction_cells_2d(lines):
     return reps
 
 
-def _direction_cells_3d(lines):
+def _direction_cells_sliced(lines, d):
+    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign key."""
+    central = [(a, 0) for a in lines]
     reps = []
     seen = set()
-    for z in (Fraction(1), Fraction(-1)):
-        slice_lines = []
-        for a in lines:
-            # plane a.u = 0 meets {u_z = z} in the line a_x x + a_y y = -a_z z
-            if a[0] != 0 or a[1] != 0:
-                slice_lines.append(((Fraction(a[0]), Fraction(a[1])), -Fraction(a[2]) * z))
-        for face in faces_2d(slice_lines):
-            if face.dim != 2:
+    for z in (1, -1):
+        # a.u = 0 meets {u_d = z} in the hyperplane a' . u' = -a_d z of the slice
+        slice_hs = [(a[:-1], -a[-1] * z) for a in lines if any(a[:-1])]
+        for _, rep, dim in _faces(slice_hs, d - 1):
+            if dim != d - 1:
                 continue
-            u = (face.rep[0], face.rep[1], z)
-            key = tuple(1 if linalg.dot(a, u) > 0 else -1 if linalg.dot(a, u) < 0 else 0 for a in lines)
-            if 0 in key:
-                continue  # rep lies on a z-normal plane's cell boundary; other slice covers it
+            u = rep + (Fraction(z),)
+            key = _signs(central, u)
             if key not in seen:
                 seen.add(key)
                 reps.append(u)
     return reps
-
-
-def _direction_cells_lp(lines, d):
-    cells = [((), None)]
-    for i, a in enumerate(lines):
-        nxt = []
-        for signs, witness in cells:
-            if witness is None:
-                for s in (1, -1):
-                    w = linprog.cone_witness([linalg.vscale(t, lines[j]) for j, t in enumerate(signs + (s,))])
-                    if w is not None:
-                        nxt.append((signs + (s,), w))
-                continue
-            s0 = linalg.dot(a, witness)
-            if s0 > 0:
-                nxt.append((signs + (1,), witness))
-                other = -1
-            elif s0 < 0:
-                nxt.append((signs + (-1,), witness))
-                other = 1
-            else:
-                other = None
-            candidates = (1, -1) if other is None else (other,)
-            for s in candidates:
-                rows = [linalg.vscale(t, lines[j]) for j, t in enumerate(signs)] + [linalg.vscale(s, a)]
-                w = linprog.cone_witness(rows)
-                if w is not None:
-                    nxt.append((signs + (s,), w))
-        cells = nxt
-    return [witness for _, witness in cells]
 
 
 @dataclass(frozen=True)
@@ -296,48 +249,69 @@ def faces_2d(lines):
     return faces
 
 
+def _residuals(hyperplanes, p):
+    """(den, [den * (a.p - c)]): the residuals of a rational point as integers, den > 0."""
+    den = reduce(math.lcm, (x.denominator for x in p), 1)
+    num = [x.numerator * (den // x.denominator) for x in p]
+    return den, [sum(map(mul, a, num)) - c * den for a, c in hyperplanes]
+
+
+def _signs(hyperplanes, p):
+    """Sign vector of a rational point against integer hyperplanes."""
+    return tuple((s > 0) - (s < 0) for s in _residuals(hyperplanes, p)[1])
+
+
+def _faces(hyperplanes, d):
+    """Every face of the arrangement {x : a.x = c} in R^d as (signs, rep, dim).
+
+    ``hyperplanes`` are (normal, offset) pairs of ints with nonzero normals.
+    Lower faces come first, by dimension, then the cells; every sign vector
+    occurs once and ``rep`` lies in the relative interior of its face.
+    """
+    if not hyperplanes:
+        return [((), (Fraction(0),) * d, d)]
+    if d == 2:
+        return [(f.signs, f.rep, f.dim) for f in faces_2d(hyperplanes)]
+    found = {}  # sign vector -> (rep, dim), in order of discovery
+    for a, c in hyperplanes:
+        # Trace on a.x = c: eliminate x_k, the first coordinate with a_k != 0.
+        k = next(i for i, v in enumerate(a) if v != 0)
+        rest = a[:k] + a[k + 1 :]
+        trace = []
+        for a2, c2 in hyperplanes:
+            row = linalg.integer_vector([a[k] * v - a2[k] * w for v, w in zip(a2 + (c2,), a + (c,))])
+            if any(row[:-1]):  # a zero row is parallel to a.x = c (or it): constant sign there
+                trace.append((row[:k] + row[k + 1 : -1], row[-1]))
+        for _, y, dim in _faces(trace, d - 1):
+            xk = Fraction(c - sum(map(mul, rest, y))) / a[k]
+            x = y[:k] + (xk,) + y[k:]
+            found.setdefault(_signs(hyperplanes, x), (x, dim))
+    faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
+    cells = {}
+    for signs, p, dim in faces:
+        if dim != d - 1:
+            continue
+        # Nudge the facet off its hyperplane by half the nearest crossing distance.
+        a = hyperplanes[signs.index(0)][0]
+        den, res = _residuals(hyperplanes, p)
+        dists = []
+        for (aj, _), s in zip(hyperplanes, res):
+            cross = sum(map(mul, aj, a))
+            if cross != 0 and s != 0:
+                dists.append(Fraction(abs(s), abs(cross)))
+        step = min(dists) / (2 * den) if dists else Fraction(1)
+        for sgn in (step, -step):
+            q = tuple(v + sgn * w for v, w in zip(p, a))
+            cells.setdefault(_signs(hyperplanes, q), q)
+    return faces + [(s, q, d) for s, q in cells.items()]
+
+
 def enumerate_faces(arr):
     """Faces of an affine arrangement as (signs, representative) pairs, any d.
 
-    d = 2 uses the geometric path; other dimensions run the incremental
-    sign-vector construction with exact LP feasibility checks. Returned in a
-    deterministic order.
+    Exact and LP-free: `_faces` recurses on hyperplane traces down to the
+    planar sweep. d = 2 gives `faces_2d`'s order; otherwise lower faces come
+    first, by dimension, then the cells.
     """
-    d = arr.dimension
-    if d == 2:
-        out = []
-        lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
-        for face in faces_2d(lines):
-            out.append((face.signs, face.rep))
-        return out
-    return _enumerate_faces_lp(arr)
-
-
-def _enumerate_faces_lp(arr):
-    d = arr.dimension
-    hs = list(arr)
-    states = [((), tuple([Fraction(0)] * d))]  # (signs, witness in relative interior)
-    for h in hs:
-        a, b = h.normal, h.offset
-        nxt = []
-        for signs, w in states:
-            eq_rows = [hs[j].normal for j, s in enumerate(signs) if s == 0]
-            eq_rhs = [hs[j].offset for j, s in enumerate(signs) if s == 0]
-            st_rows = [linalg.vscale(s, hs[j].normal) for j, s in enumerate(signs) if s != 0]
-            st_rhs = [Fraction(s) * hs[j].offset for j, s in enumerate(signs) if s != 0]
-            s0 = linalg.dot(a, w) - b
-            sign0 = 1 if s0 > 0 else -1 if s0 < 0 else 0
-            nxt.append((signs + (sign0,), w))
-            for s in (0, 1, -1):
-                if s == sign0:
-                    continue
-                if s == 0:
-                    p = linprog.interior_point(eq_rows + [a], eq_rhs + [b], st_rows, st_rhs)
-                else:
-                    p = linprog.interior_point(
-                        eq_rows, eq_rhs, st_rows + [linalg.vscale(s, a)], st_rhs + [Fraction(s) * b]
-                    )
-                if p is not None:
-                    nxt.append((signs + (s,), p))
-        states = nxt
-    return states
+    hyperplanes = [(tuple(map(int, h.normal)), int(h.offset)) for h in arr]  # canonical: integers
+    return [(signs, rep) for signs, rep, _ in _faces(hyperplanes, arr.dimension)]

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import linalg, linprog
 from .cells import direction_cells, enumerate_faces
-from .errors import DimensionError, ExactBudgetExceeded, InvalidDirection, NoDeepPoint
+from .errors import DimensionError, InvalidDirection, NoDeepPoint
 from .geometry import evaluate, is_general_position, point
 
 
@@ -64,27 +64,6 @@ def _signs_at(arr, q):
     if len(q) != arr.dimension:
         raise DimensionError(f"query has dimension {len(q)}, expected {arr.dimension}")
     return [_sign(h.residual(q)) for h in arr]
-
-
-_DIRECTION_CACHE: dict = {}
-
-
-def _candidate_directions(arr):
-    """Direction-cell representatives plus the sign matrix sign(a_h . u), memoized.
-
-    Both depend only on the normals, so queries against a fixed arrangement
-    (face labeling, deepest-point scans) reuse them.
-    """
-    key = (arr.dimension, tuple(h.normal for h in arr))
-    hit = _DIRECTION_CACHE.get(key)
-    if hit is None:
-        if len(_DIRECTION_CACHE) > 4096:
-            _DIRECTION_CACHE.clear()
-        candidates = direction_cells([h.normal for h in arr], arr.dimension)
-        csigns = [tuple(_sign(linalg.dot(h.normal, u)) for h in arr) for u in candidates]
-        hit = (candidates, csigns)
-        _DIRECTION_CACHE[key] = hit
-    return hit
 
 
 def _count_signs(arr, s_signs, u, rule):
@@ -133,7 +112,7 @@ def _unit_direction(d):
 
 def _min_count(arr, s_signs, rule):
     """Minimize the ray count over all directions, given fixed residual signs."""
-    candidates, csigns = _candidate_directions(arr)
+    candidates, csigns = arr.direction_cells
     weights = [h.weight for h in arr]
     best = None
     best_u = None
@@ -325,31 +304,22 @@ def _vertices(arr):
     return sorted(out)
 
 
-def deepest_point(arr, mode="exact"):
+def deepest_point(arr):
     """A point of maximum regression depth, with its exact depth and witness.
 
-    Generic arrangements with n >= d only need the vertices: depth never
-    decreases when walking from a face to a face of its boundary, and every
-    face of such an arrangement has a vertex in its closure. Degenerate or
-    tiny inputs fall back to full face enumeration (exact for d <= 3);
-    higher dimensions require mode="candidates" (vertices only, flagged as a
-    lower bound by construction).
+    Depth is constant on each face of the arrangement, so one representative
+    per face suffices; any d is exact. Generic arrangements with n >= d only
+    need the vertices: depth never decreases when walking from a face to a
+    face of its boundary, and every face of such an arrangement has a vertex
+    in its closure. Other inputs scan every face from `enumerate_faces`. Ties
+    go to the smallest point.
     """
     if len(arr) == 0:
         raise NoDeepPoint("empty arrangement has no deepest point")
-    d = arr.dimension
-    candidates = []
-    if len(arr) >= d and is_general_position(arr):
+    if len(arr) >= arr.dimension and is_general_position(arr):
         candidates = _vertices(arr)
-    if not candidates:
-        if d > 3 and mode != "candidates":
-            raise ExactBudgetExceeded("exact deepest-point mode supports d <= 3; use mode='candidates'")
-        if d > 3:
-            candidates = _vertices(arr)
-            if not candidates:
-                candidates = [tuple([Fraction(0)] * d)]
-        else:
-            candidates = [rep for _, rep in enumerate_faces(arr)]
+    else:
+        candidates = [rep for _, rep in enumerate_faces(arr)]
     best_val = None
     best_pt = None
     best_cert = None

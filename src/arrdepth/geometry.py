@@ -9,14 +9,13 @@ compare and hash equal. All arithmetic is exact.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
-from . import linalg
+from . import cells, linalg
 from .errors import DimensionError, GenerationError, InvalidHyperplane
 
 Point = tuple[Fraction, ...]
@@ -41,17 +40,11 @@ def point(coords) -> Point:
 
 def _canonical_pair(normal, offset):
     normal = [frac(c) for c in normal]
-    offset = frac(offset)
     if all(c == 0 for c in normal):
         raise InvalidHyperplane("zero normal vector")
-    denoms = [c.denominator for c in normal] + [offset.denominator]
-    scale = reduce(math.lcm, denoms, 1)
-    ints = [int(c * scale) for c in normal] + [int(offset * scale)]
-    g = reduce(math.gcd, (abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints[:-1] if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
+    ints = linalg.integer_vector(normal + [frac(offset)])
+    if next(v for v in ints if v != 0) < 0:
+        ints = tuple(-v for v in ints)
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
@@ -143,6 +136,30 @@ class Arrangement:
         `linalg.signed_circuits`.
         """
         return linalg.signed_circuits([h.normal for h in self.hyperplanes])
+
+    @cached_property
+    def direction_cells(self) -> tuple[tuple, tuple]:
+        """Direction-cell representatives of the normals and their sign rows.
+
+        Returns (reps, rows) with rows[j][i] = sign(a_i . reps[j]); both depend
+        only on the normals, so every query on the arrangement reuses them. See
+        `cells.direction_cells`.
+        """
+        reps = tuple(cells.direction_cells([h.normal for h in self.hyperplanes], self.dimension))
+        rows = []
+        for u in reps:
+            dots = (linalg.dot(h.normal, u) for h in self.hyperplanes)
+            rows.append(tuple((s > 0) - (s < 0) for s in dots))
+        return reps, tuple(rows)
+
+    @cached_property
+    def float_data(self) -> tuple[tuple[tuple[float, ...], float, float], ...]:
+        """(normal, offset, |normal|^2) of each hyperplane in floats, for the Tverberg descent."""
+        out = []
+        for h in self.hyperplanes:
+            a = tuple(float(c) for c in h.normal)
+            out.append((a, float(h.offset), sum(c * c for c in a)))
+        return tuple(out)
 
     def subset(self, indices) -> "Arrangement":
         return Arrangement(self.dimension, tuple(self.hyperplanes[i] for i in indices))

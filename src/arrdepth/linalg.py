@@ -1,8 +1,11 @@
 """Exact rational linear algebra on small dense matrices.
 
 Everything works on lists of lists / tuples of ``fractions.Fraction`` (plain
-ints are fine too, they coerce). Sizes here are tiny (d <= 3 or so per the
-desk-scale budgets), so plain Gaussian elimination is the right tool.
+ints are fine too, they coerce). Sizes here are tiny (d <= 4 or so per the
+desk-scale budgets), so `rank`, `solve`, `solve_consistent` and
+`kernel_vector` all read the reduced row echelon form from one Gauss-Jordan
+elimination. `integer_vector` is the one scaling of a rational vector to
+coprime integers; canonical hyperplanes and rays build on it.
 """
 
 import math
@@ -15,27 +18,51 @@ def _rows(matrix):
     return [[Fraction(x) for x in row] for row in matrix]
 
 
-def rank(matrix):
-    """Rank of a matrix, exactly."""
+def _eliminate(matrix, ncols=None):
+    """Gauss-Jordan elimination: (reduced rows, pivot columns).
+
+    Row i holds the pivot of column pivots[i] and zeros in the other pivot
+    columns; pivots are not scaled to 1. They are searched in the first
+    ``ncols`` columns (all by default), so an augmented right-hand side rides
+    along without being pivoted on.
+    """
     m = _rows(matrix)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        prow, inv = m[r], m[r][col]
+        for i, row in enumerate(m):
+            if i != r and row[col] != 0:
+                factor = row[col] / inv
+                m[i] = [a - factor * p for a, p in zip(row, prow)]
+        pivots.append(col)
+    return m, pivots
+
+
+def rank(matrix):
+    """Rank of a matrix, exactly."""
+    return len(_eliminate(matrix)[1])
+
+
+def _solution(matrix, rhs):
+    """(one solution with free variables 0, or None if inconsistent; whether it is unique)."""
+    ncols = len(matrix[0]) if matrix else 0
+    m, pivots = _eliminate([(*row, b) for row, b in zip(matrix, rhs)], ncols)
+    unique = len(pivots) == ncols
+    if any(row[ncols] != 0 for row in m[len(pivots) :]):
+        return None, unique
+    x = [Fraction(0)] * ncols
+    for row, col in zip(m, pivots):
+        x[col] = row[ncols] / row[col]
+    return tuple(x), unique
 
 
 def solve(matrix, rhs):
@@ -44,66 +71,13 @@ def solve(matrix, rhs):
     Returns a tuple of Fractions, or None when the system is inconsistent or
     underdetermined (no unique solution).
     """
-    m = _rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    aug = [m[i] + [b[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [a / inv for a in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * p for a, p in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None  # inconsistent
-    if r < ncols:
-        return None  # underdetermined
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return tuple(x)
+    x, unique = _solution(matrix, rhs)
+    return x if unique else None
 
 
 def solve_consistent(matrix, rhs):
     """One solution of a consistent system (free variables set to 0), else None."""
-    m = _rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    aug = [m[i] + [b[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [a / inv for a in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * p for a, p in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return tuple(x)
+    return _solution(matrix, rhs)[0]
 
 
 def kernel_vector(matrix, ncols=None):
@@ -111,44 +85,28 @@ def kernel_vector(matrix, ncols=None):
 
     ``ncols`` must be given for an empty row list.
     """
-    m = _rows(matrix)
-    if not m:
+    if not matrix:
         if not ncols:
             return None
         return tuple([Fraction(1)] + [Fraction(0)] * (ncols - 1))
-    ncols = len(m[0])
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [a / inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * p for a, p in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+    m, pivots = _eliminate(matrix)
+    free = next((c for c in range(len(m[0])) if c not in pivots), None)
+    if free is None:
         return None
-    fcol = free[0]
-    x = [Fraction(0)] * ncols
-    x[fcol] = Fraction(1)
-    for i, col in enumerate(pivots):
-        x[col] = -m[i][fcol]
+    x = [Fraction(0)] * len(m[0])
+    x[free] = Fraction(1)
+    for row, col in zip(m, pivots):
+        x[col] = -row[free] / row[col]
     return tuple(x)
 
 
-def _integer_vector(v):
-    """v scaled by the positive lcm of its denominators: same signs, same circuits."""
+def integer_vector(v):
+    """v scaled by a positive rational to coprime integers (zero stays zero)."""
     v = [Fraction(c) for c in v]
     scale = reduce(math.lcm, (c.denominator for c in v), 1)
-    return [c.numerator * (scale // c.denominator) for c in v]
+    ints = [c.numerator * (scale // c.denominator) for c in v]
+    g = reduce(math.gcd, ints, 0)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
 def _circuit_signs(cols):
@@ -188,7 +146,7 @@ def signed_circuits(vectors):
     are both returned. Bit i stands for vectors[i]. Supports have at most
     d+1 elements; they come in order of size, then lexicographically.
     """
-    cols = [_integer_vector(v) for v in vectors]
+    cols = [integer_vector(v) for v in vectors]
     d = len(cols[0]) if cols else 0
     out = []
     smaller = []  # supports of the circuits found with fewer elements

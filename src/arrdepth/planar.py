@@ -71,12 +71,10 @@ def incident(lower, upper):
 
 
 def _distinct_lines_of(arr):
-    from .cells import canonical_line
-
     seen = {}
     out = []
     for h in arr:
-        key = canonical_line((h.normal[0], h.normal[1], h.offset))
+        key = h.geometry()  # hyperplanes are canonical on construction
         if key not in seen:
             seen[key] = True
             out.append(((h.normal[0], h.normal[1]), h.offset))

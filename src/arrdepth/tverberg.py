@@ -102,25 +102,8 @@ def nearest_in_hull(points, q):
     return best
 
 
-_FLOAT_CACHE: dict = {}
-
-
-def _float_data(arr):
-    key = (arr.dimension, tuple((h.normal, h.offset) for h in arr))
-    hit = _FLOAT_CACHE.get(key)
-    if hit is None:
-        if len(_FLOAT_CACHE) > 1024:
-            _FLOAT_CACHE.clear()
-        hit = []
-        for h in arr:
-            a = tuple(float(c) for c in h.normal)
-            hit.append((a, float(h.offset), _fdot(a, a)))
-        _FLOAT_CACHE[key] = hit
-    return hit
-
-
 def _float_duals(arr, part, q):
-    data = _float_data(arr)
+    data = arr.float_data
     out = []
     for i in part:
         a, b, nn = data[i]

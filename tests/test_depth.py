@@ -312,8 +312,8 @@ def test_deepest_point_weighted_bound():
     assert val >= arr.total_weight / 3
 
 
-def test_dimension_four_lp_path():
-    # d >= 4 exercises the incremental sign-vector enumeration
+def test_deepest_point_dimension_four():
+    # d >= 4 takes the same exact paths: vertices here, every face when degenerate
     arr = generate_instance(2, 4, 6, "generic")
     pt, val, _ = deepest_point(arr)
     assert val >= 6 // 5 + 1
@@ -329,3 +329,21 @@ def test_deepest_point_small_and_degenerate():
     conc = arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)])
     pt, val, _ = deepest_point(conc)
     assert pt == (0, 0) and val == 3
+
+
+def test_direction_cells_computed_once_per_arrangement(monkeypatch):
+    from arrdepth import cells
+
+    calls = []
+    real = cells.direction_cells
+
+    def counting(normals, d):
+        calls.append(d)
+        return real(normals, d)
+
+    monkeypatch.setattr(cells, "direction_cells", counting)
+    arr = generate_instance(5, 3, 6, "generic")
+    first = regression_depth(arr, (0, 0, 0))
+    assert regression_depth(arr, (0, 0, 0)) == first
+    assert open_regression_depth(arr, (1, 2, 3))[0] >= 0
+    assert calls == [3]
