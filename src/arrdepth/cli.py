@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -116,7 +117,7 @@ def build_parser():
     sp.add_argument("file2")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("oracle", help="cross-check the engine against the direction oracle")
+    sp = sub.add_parser("oracle", help="cross-check the engine against the direction oracle and the dual measures")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--d", type=int, default=2)
@@ -316,10 +317,9 @@ def _cmd_transversal(args):
 def _cmd_oracle(args):
     agree = 0
     mismatches = []
+    failures = []
     for t in range(args.trials):
         arr = generate_instance(args.seed + t, args.d, args.n, "generic")
-        import random
-
         rng = random.Random(f"arrdepth-oracle-cli:{args.seed}:{t}")
         q = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(args.d))
         engine, _ = depth_mod.regression_depth(arr, q)
@@ -327,9 +327,13 @@ def _cmd_oracle(args):
         if engine == oracle:
             agree += 1
         else:
-            mismatches.append({"trial": t, "engine": _rat(engine), "oracle": _rat(oracle)})
-    outputs = {"agreements": f"{agree}/{args.trials}", "mismatches": mismatches}
-    return (0 if agree == args.trials else 2), outputs, {}
+            mismatches.append({"trial": t, "seed": args.seed + t, "engine": _rat(engine), "oracle": _rat(oracle)})
+        checks = cross_check(arr, q)
+        if not checks["passed"]:
+            failed = sorted(name for name, ok in checks["checks"].items() if ok is False)
+            failures.append({"trial": t, "seed": args.seed + t, "query": _point_out(q), "failed": failed})
+    outputs = {"agreements": f"{agree}/{args.trials}", "mismatches": mismatches, "cross_check_failures": failures}
+    return (0 if agree == args.trials and not failures else 2), outputs, {}
 
 
 def _cmd_gen(args):

@@ -9,6 +9,15 @@ and of a.u, which makes them constant on the cells of the central arrangement
 {u : a.u = 0} and lets the minimum over all rays be taken over one exact
 representative per full-dimensional cell: moving u from a cell boundary into
 an adjacent cell never increases either count.
+
+RD and RD' work on sign vectors as bitmasks. `Arrangement.sign_masks` gives
+the residual signs of q from integer rows, and `Arrangement.direction_cells`
+the cached sign masks of every direction cell. The count in a cell is then a
+popcount of a mask formula, or a sum of 8-bit table lookups when the weights
+are not all 1 (`Arrangement.weight_tables`, integers over one common
+denominator). `directional_count`, `count_both` and `oracle_depth` keep the
+per-hyperplane Fraction loop, `_count_signs`, as the independent path the
+tests compare against.
 """
 
 import random
@@ -96,6 +105,8 @@ def count_both(arr, q, u):
     u = point(u)
     if all(c == 0 for c in u):
         raise InvalidDirection("zero direction")
+    if len(u) != arr.dimension:
+        raise DimensionError(f"direction has dimension {len(u)}, expected {arr.dimension}")
     s_signs = _signs_at(arr, q)
     return DirectionalCount(
         u,
@@ -110,23 +121,37 @@ def _unit_direction(d):
     return tuple(e)
 
 
-def _min_count(arr, s_signs, rule):
-    """Minimize the ray count over all directions, given fixed residual signs."""
-    candidates, csigns = arr.direction_cells
-    weights = [h.weight for h in arr]
-    best = None
-    best_u = None
-    closed = rule == "closed"
-    for u, crow in zip(candidates, csigns):
-        c = Fraction(0)
-        for w, ss, cs in zip(weights, s_signs, crow):
-            if (ss * cs <= 0) if closed else (ss * cs < 0 or cs == 0):
-                c += w
-        if best is None or c < best:
-            best, best_u = c, u
-    if best is None:
-        best, best_u = Fraction(0), _unit_direction(arr.dimension)
-    return best, best_u
+def _tope_counts(arr, pos, neg, rule):
+    """Weighted ray count in each direction cell, as integers over `arr.weight_tables`' denominator.
+
+    ``pos`` and ``neg`` are the bitmasks of positive and negative residuals.
+    Against a cell with sign masks (tp, tn), the closed rule counts the
+    hyperplanes whose two signs are not both + or both -, and the open rule
+    those whose signs are opposite or whose cell sign is 0.
+    """
+    full = (1 << len(arr)) - 1
+    if rule == "closed":
+        masks = [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
+    else:
+        masks = [(pos & tn) | (neg & tp) | (full & ~tp & ~tn) for tp, tn in arr.direction_cells[1]]
+    _, tables = arr.weight_tables
+    if tables is None:
+        return list(map(int.bit_count, masks))
+    return [sum(t[m >> 8 * c & 255] for c, t in enumerate(tables)) for m in masks]
+
+
+def _min_count(arr, pos, neg, rule):
+    """Minimize the ray count over all directions, given the residual sign masks of q.
+
+    The count is constant on each direction cell, so the minimum is taken over
+    the cached cell sign masks (`_tope_counts`); the witness is the first
+    minimizing cell in cell order.
+    """
+    counts = _tope_counts(arr, pos, neg, rule)
+    if not counts:
+        return Fraction(0), _unit_direction(arr.dimension)
+    best = min(counts)
+    return Fraction(best, arr.weight_tables[0]), arr.direction_cells[0][counts.index(best)]
 
 
 def regression_depth(arr, q):
@@ -134,8 +159,8 @@ def regression_depth(arr, q):
     if len(arr) == 0:
         u = _unit_direction(arr.dimension)
         return Fraction(0), DepthCertificate(u, Fraction(0), "closed")
-    s_signs = _signs_at(arr, q)
-    best, u = _min_count(arr, s_signs, "closed")
+    pos, zero = arr.sign_masks(q)
+    best, u = _min_count(arr, pos, ((1 << len(arr)) - 1) & ~(pos | zero), "closed")
     return best, DepthCertificate(u, best, "closed")
 
 
@@ -174,24 +199,23 @@ def open_regression_depth(arr, q):
     if len(arr) == 0:
         u = _unit_direction(arr.dimension)
         return Fraction(0), DepthCertificate(u, Fraction(0), "open")
-    s_signs = _signs_at(arr, q)
-    on_idx = [i for i, s in enumerate(s_signs) if s == 0]
+    pos, zero = arr.sign_masks(q)
+    neg = ((1 << len(arr)) - 1) & ~(pos | zero)
+    on_idx = [i for i in range(len(arr)) if zero >> i & 1]
     circuits = linalg.signed_circuits([arr[i].normal for i in on_idx])
     if not circuits:
-        best, u = _min_count(arr, s_signs, "open")
+        best, u = _min_count(arr, pos, neg, "open")
         return best, DepthCertificate(u, best, "open")
 
     best = None
     best_u = None
     for bits in _new_perturbed_cells(circuits, len(on_idx)):
-        local = list(s_signs)
-        for j, i in enumerate(on_idx):
-            local[i] = 1 if bits >> j & 1 else -1
-        val, u = _min_count(arr, local, "open")
+        plus = sum(1 << i for j, i in enumerate(on_idx) if bits >> j & 1)
+        val, u = _min_count(arr, pos | plus, neg | (zero & ~plus), "open")
         if best is None or val > best:
             best, best_u = val, u
     if best is None:
-        best, best_u = _min_count(arr, s_signs, "open")
+        best, best_u = _min_count(arr, pos, neg, "open")
         return best, DepthCertificate(best_u, best, "open")
     return best, DepthCertificate(best_u, best, "open-perturbed")
 

@@ -7,8 +7,10 @@ the transversal's dual points. Validity of a transversal therefore depends
 only on the underlying (d+1)-set. For an arrangement the valid sets are read
 once per query from the residual signs and the signed circuits of the
 normals (`tverberg.coverable_pieces`); for a point set they are found by
-exact hull tests. The search then builds groups so that the last group is
-drawn from the indices compatible with every cross-group choice made so far.
+exact hull tests. The search then builds groups so that each group is
+drawn from the indices that still complete every partial transversal
+through the groups chosen so far to a valid set, and cuts a partial choice
+as soon as too few such indices remain to fill the groups left.
 """
 
 from dataclasses import dataclass
@@ -84,38 +86,70 @@ def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
 
     `valid` is the set of valid (d+1)-sets, as bitmasks. Groups are
     enumerated with the smallest-first canonical order; the final group is
-    any k-subset of the indices compatible with all transversals through the
-    chosen groups.
+    the first k indices compatible with all transversals through the chosen
+    groups. For every proper subset m of a valid set, reach[m] is the union
+    of v - m over the valid sets v containing m. Every index of a later group
+    completes each partial transversal m through the chosen groups to a valid
+    set, so it lies in the candidate set C = unused ∩ reach[m] over all m. A
+    node whose C holds fewer than the (d+1-j)k indices still to place (j
+    groups chosen) has no solution and is cut, and the next group is drawn
+    from C only. A child's C is computed in its parent, so a cut node is
+    never entered. Only subtrees without a solution are dropped, so the first
+    certificate found is the one the unpruned depth-first search finds, and
+    the nodes visited are a subset of its nodes.
     """
+    reach = {}
+    for v in valid:
+        m = (v - 1) & v
+        while True:
+            reach[m] = reach.get(m, 0) | (v & ~m)
+            if not m:
+                break
+            m = (m - 1) & v
     nodes = 0
     best = 0
 
-    def extend(chosen, partial, used, k):
-        # partial: the transversals through the chosen groups, as bitmasks
+    def extend(chosen, partial, cand, k):
+        # partial: the transversals through the chosen groups; cand: their candidate set C
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise ExactBudgetExceeded("enclosure search budget exhausted", bound=best)
+        allowed = [h for h in range(n) if cand >> h & 1]
         if len(chosen) == d:
-            allowed = [h for h in range(n) if h not in used and all(m | 1 << h in valid for m in partial)]
-            if len(allowed) < k:
-                return None
             return chosen + (tuple(allowed[:k]),)
-        start = min(chosen[-1]) + 1 if chosen else 0
-        for first in range(start, n):
-            if first in used:
+        need = (d - len(chosen)) * k  # indices still to place after the next group
+        start = chosen[-1][0] + 1 if chosen else 0
+        allowed = [h for h in allowed if h >= start]
+        # through[h]: C of the partial transversals extended by h; a child's C is
+        # the intersection of through[h] over the indices h of its group.
+        through = {}
+        for h in allowed:
+            r = cand
+            for m in partial:
+                r &= reach.get(m | 1 << h, 0)
+            through[h] = r
+        for pos, first in enumerate(allowed):
+            if through[first].bit_count() < need:
                 continue
-            rest = [h for h in range(n) if h > first and h not in used]
-            for tail in combinations(rest, k - 1):
+            for tail in combinations(allowed[pos + 1 :], k - 1):
                 group = (first,) + tail
-                grown = [m | 1 << h for m in partial for h in group]
-                result = extend(chosen + (group,), grown, used | set(group), k)
+                child = through[first]
+                for h in tail:
+                    child &= through[h]
+                if child.bit_count() < need:
+                    continue
+                bits = [1 << h for h in group]
+                result = extend(chosen + (group,), [m | b for m in partial for b in bits], child, k)
                 if result is not None:
                     return result
         return None
 
     for k in range(k_cap, 0, -1):
-        found = extend(tuple(), [0], frozenset(), k)
+        cand = reach.get(0, 0)
+        if cand.bit_count() < (d + 1) * k:
+            continue
+        found = extend(tuple(), [0], cand, k)
         if found is not None:
             best = k
             return k, found

@@ -9,6 +9,8 @@ compare and hash equal. All arithmetic is exact.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,19 +140,73 @@ class Arrangement:
         return linalg.signed_circuits([h.normal for h in self.hyperplanes])
 
     @cached_property
-    def direction_cells(self) -> tuple[tuple, tuple]:
-        """Direction-cell representatives of the normals and their sign rows.
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(normal, offset) of each hyperplane as Python ints (they are canonical coprime integers)."""
+        return tuple((tuple(c.numerator for c in h.normal), h.offset.numerator) for h in self.hyperplanes)
 
-        Returns (reps, rows) with rows[j][i] = sign(a_i . reps[j]); both depend
-        only on the normals, so every query on the arrangement reuses them. See
-        `cells.direction_cells`.
+    @cached_property
+    def direction_cells(self) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+        """Direction-cell representatives of the normals and their sign masks.
+
+        Returns (reps, masks) with masks[j] = (pos, neg): bit i of pos (neg) is
+        set when a_i . reps[j] > 0 (< 0). Both depend only on the normals, so
+        every query on the arrangement reuses them. See `cells.direction_cells`.
         """
         reps = tuple(cells.direction_cells([h.normal for h in self.hyperplanes], self.dimension))
-        rows = []
+        masks = []
         for u in reps:
-            dots = (linalg.dot(h.normal, u) for h in self.hyperplanes)
-            rows.append(tuple((s > 0) - (s < 0) for s in dots))
-        return reps, tuple(rows)
+            pos = neg = 0
+            for i, (a, _) in enumerate(self.int_rows):
+                s = linalg.dot(a, u)
+                if s > 0:
+                    pos |= 1 << i
+                elif s < 0:
+                    neg |= 1 << i
+            masks.append((pos, neg))
+        return reps, tuple(masks)
+
+    @cached_property
+    def weight_tables(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+        """The weights as integers over one common denominator, for bitmask sums.
+
+        Returns (den, tables). The weight of the hyperplanes in a bitmask m is
+        popcount(m) / den when tables is None (every weight is 1); otherwise it
+        is sum(tables[c][m >> 8c & 255]) / den, where tables[c][b] is the sum
+        of the integer weights of hyperplanes 8c + j over the bits j of b.
+        """
+        weights = [h.weight for h in self.hyperplanes]
+        if all(w == 1 for w in weights):
+            return 1, None
+        den = math.lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (den // w.denominator) for w in weights]
+        tables = []
+        for start in range(0, len(nums), 8):
+            chunk = nums[start : start + 8]
+            table = [0] * 256
+            for b in range(1, 256):
+                low = (b & -b).bit_length() - 1
+                table[b] = table[b & (b - 1)] + (chunk[low] if low < len(chunk) else 0)
+            tables.append(tuple(table))
+        return den, tuple(tables)
+
+    def sign_masks(self, q) -> tuple[int, int]:
+        """Residual signs of q as (pos, zero) bitmasks: bit i of pos (zero) is set when a_i . q - b_i > 0 (= 0).
+
+        Exact integer arithmetic over the lcm of q's denominators.
+        """
+        q = point(q)
+        if len(q) != self.dimension:
+            raise DimensionError(f"query has dimension {len(q)}, expected {self.dimension}")
+        den = math.lcm(*(c.denominator for c in q))
+        qn = [c.numerator * (den // c.denominator) for c in q]
+        pos = zero = 0
+        for i, (a, b) in enumerate(self.int_rows):
+            s = sum(map(operator.mul, a, qn)) - b * den
+            if s > 0:
+                pos |= 1 << i
+            elif s == 0:
+                zero |= 1 << i
+        return pos, zero
 
     @cached_property
     def float_data(self) -> tuple[tuple[tuple[float, ...], float, float], ...]:

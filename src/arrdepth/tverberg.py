@@ -509,35 +509,39 @@ def coverable_pieces(arr, q):
     {h} with s_h = 0 and the circuit supports free of them whose positive part
     is exactly their set of positive residuals.
     """
-    q = point(q)
-    pos = zero = 0
-    for i, h in enumerate(arr):
-        s = h.residual(q)
-        if s > 0:
-            pos |= 1 << i
-        elif s == 0:
-            zero |= 1 << i
+    pos, zero = arr.sign_masks(q)
     pieces = [1 << i for i in range(len(arr)) if zero >> i & 1]
     pieces += [supp for supp, plus in arr.circuits if not supp & zero and plus == supp & pos]
     return pieces
 
 
 def max_packing(n, pieces):
-    """Maximum number of disjoint pieces (bitmasks over range(n)), by subset DP."""
-    by_low = [[] for _ in range(n)]
+    """Maximum number of disjoint pieces (bitmasks over range(n)).
+
+    Memoized recursion over the masks reachable from the union of the
+    pieces: the lowest element of a mask is either left unpacked or covered
+    by a piece whose lowest element it is and which fits in the mask. Only
+    masks reachable that way are ever evaluated, not all 2^n.
+    """
+    by_low = {}
+    union = 0
     for piece in pieces:
-        by_low[(piece & -piece).bit_length() - 1].append(piece)
-    dp = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        best = dp[mask & (mask - 1)]  # leave `low` unpacked (absorbed later)
-        for piece in by_low[low]:
-            if piece & mask == piece:
-                cand = dp[mask ^ piece] + 1
-                if cand > best:
-                    best = cand
-        dp[mask] = best
-    return dp[(1 << n) - 1]
+        by_low.setdefault(piece & -piece, []).append(piece)
+        union |= piece
+    memo = {0: 0}
+
+    def best(mask):
+        hit = memo.get(mask)
+        if hit is None:
+            low = mask & -mask
+            hit = best(mask ^ low)
+            for piece in by_low.get(low, ()):
+                if piece & mask == piece:
+                    hit = max(hit, best(mask ^ piece) + 1)
+            memo[mask] = hit
+        return hit
+
+    return best(union)
 
 
 def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
@@ -547,7 +551,7 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     monotone under adding hyperplanes; the maximum over partitions therefore
     equals the maximum number of disjoint minimal coverable sets. Those are
     read from the residual signs of q and the cached signed circuits of the
-    normals (`coverable_pieces`), and packed exactly by a subset DP. Beyond
+    normals (`coverable_pieces`), and packed exactly by `max_packing`. Beyond
     the exact threshold the raised ExactBudgetExceeded carries a greedy lower
     bound: pieces taken smallest first, then in lexicographic order, when
     disjoint from those already taken.

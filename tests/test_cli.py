@@ -90,6 +90,18 @@ def test_oracle_cli():
     code, rep = run(["oracle", "--trials", "6", "--seed", "3", "--d", "2", "--n", "6"])
     assert code == 0
     assert rep["outputs"]["agreements"] == "6/6"
+    assert rep["outputs"]["cross_check_failures"] == []
+
+
+def test_oracle_cli_reports_failed_cross_check(monkeypatch):
+    import arrdepth.cli as cli
+
+    failing = {"checks": {"hed_le_rd": False, "open_le_rd": True}, "passed": False}
+    monkeypatch.setattr(cli, "cross_check", lambda arr, q: failing)
+    code, rep = run(["oracle", "--trials", "2", "--seed", "3", "--d", "2", "--n", "6"])
+    assert code == 2
+    failures = rep["outputs"]["cross_check_failures"]
+    assert [(f["trial"], f["seed"], f["failed"]) for f in failures] == [(0, 3, ["hed_le_rd"]), (1, 4, ["hed_le_rd"])]
 
 
 def test_gen_deterministic(tmp_path):

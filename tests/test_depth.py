@@ -14,8 +14,10 @@ from arrdepth.depth import (
     regression_depth,
     truncated_regression_depth,
 )
-from arrdepth.errors import InvalidDirection, NoDeepPoint
+from arrdepth.enclosing import hyperplane_enclosing_depth
+from arrdepth.errors import DimensionError, InvalidDirection, NoDeepPoint
 from arrdepth.geometry import Arrangement, arrangement, evaluate, generate_instance
+from arrdepth.tverberg import hyperplane_tverberg_depth
 
 
 Q_IN = (Fraction(1, 4), Fraction(1, 4))
@@ -49,6 +51,20 @@ def test_count_both_invariants(tri):
     assert dc.count_closed >= dc.count_open
     scaled = count_both(tri, (0, 0), (6, 2))
     assert scaled.count_closed == dc.count_closed and scaled.count_open == dc.count_open
+
+
+def test_wrong_dimension_raises(tri):
+    """A query or direction of the wrong length is rejected, never truncated by zip."""
+    with pytest.raises(DimensionError):
+        count_both(tri, (0, 0), (1, 2, 3))
+    with pytest.raises(DimensionError):
+        count_both(tri, (0, 0), (1,))
+    for q in ((0,), (0, 0, 0)):
+        with pytest.raises(DimensionError):
+            count_both(tri, q, (1, 2))
+        for measure in (regression_depth, open_regression_depth, hyperplane_tverberg_depth, hyperplane_enclosing_depth):
+            with pytest.raises(DimensionError):
+                measure(tri, q)
 
 
 def test_count_closed_equals_open_in_cell(tri):

@@ -1,0 +1,215 @@
+"""The integer sign-mask kernel behind RD, RD', HTvD and HED, against the loops it replaced.
+
+RD and RD' count, for every direction cell, the weight of the hyperplanes
+selected by a bitmask formula over the residual and cell sign masks; HED
+prunes its enclosure search with reach sets; HTvD packs pieces by a memoized
+recursion. Each is checked here against the plain loop it replaced: the
+per-hyperplane Fraction count (`depth._count_signs`), the unpruned
+enclosure search and the full subset DP, the last two kept below as oracles.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from arrdepth import linalg
+from arrdepth.depth import _count_signs, _min_count, _new_perturbed_cells, _signs_at, _tope_counts
+from arrdepth.enclosing import _search_max_k
+from arrdepth.errors import ExactBudgetExceeded
+from arrdepth.geometry import Arrangement, generate_instance, hyperplane
+from arrdepth.tverberg import max_packing
+
+
+def _normal(rng, d):
+    while True:
+        a = tuple(rng.randint(-4, 4) for _ in range(d))
+        if any(a):
+            return a
+
+
+def _arrangement(rng, d, n, weights):
+    """Concurrent, parallel and scaled-duplicate hyperplanes with the given weight kind."""
+    center = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+    rows = []
+    while len(rows) < n:
+        r = rng.random()
+        if r < 0.3:
+            a = _normal(rng, d)
+            b = linalg.dot(a, center)
+        elif r < 0.5 and rows:
+            a0, b0 = rows[rng.randrange(len(rows))]
+            k = rng.choice((1, -2, 3))
+            a, b = tuple(k * c for c in a0), k * b0 + rng.choice((0, 1, -1))
+        else:
+            a, b = _normal(rng, d), Fraction(rng.randint(-6, 6))
+        rows.append((a, b))
+    if weights == "unit":
+        ws = [1] * n
+    elif weights == "zero":
+        ws = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+    else:
+        ws = [Fraction(rng.randint(0, 9), rng.randint(1, 8)) for _ in range(n)]
+    return Arrangement(d, tuple(hyperplane(a, b, w) for (a, b), w in zip(rows, ws))), center
+
+
+def _queries(rng, arr, center):
+    d = arr.dimension
+    qs = [center, tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(d))]
+    for combo in combinations(range(len(arr)), d):
+        v = linalg.solve([arr[i].normal for i in combo], [arr[i].offset for i in combo])
+        if v is not None:
+            qs.append(v)
+            break
+    h = arr[rng.randrange(len(arr))]
+    j = next(k for k, c in enumerate(h.normal) if c != 0)
+    on_h = [Fraction(rng.randint(-3, 3), 2) for _ in range(d)]
+    on_h[j] = 0
+    on_h[j] = (h.offset - linalg.dot(h.normal, on_h)) / h.normal[j]
+    qs.append(tuple(on_h))
+    return qs
+
+
+def _cases():
+    rng = random.Random("kernel:arrangements")
+    for trial in range(36):
+        d = (2, 3)[trial % 2]
+        n = (5, 8, 17, 19)[trial // 2 % 4] if d == 2 else (4, 6, 8, 10)[trial // 2 % 4]
+        weights = ("unit", "zero", "rational")[trial % 3]
+        arr, center = _arrangement(rng, d, n, weights)
+        yield arr, _queries(rng, arr, center)
+    generated = ((1, 2, 9, "generic"), (2, 2, 18, "weighted"), (3, 3, 7, "weighted"), (4, 3, 6, "generic"))
+    for seed, d, n, profile in generated:
+        arr = generate_instance(seed, d, n, profile)
+        yield arr, _queries(rng, arr, tuple(Fraction(1, 3) for _ in range(d)))
+
+
+def test_sign_masks_match_residual_signs():
+    for arr, qs in _cases():
+        for q in qs:
+            signs = _signs_at(arr, q)
+            pos, zero = arr.sign_masks(q)
+            assert [1 if pos >> i & 1 else 0 if zero >> i & 1 else -1 for i in range(len(arr))] == signs
+
+
+def test_tope_mask_counts_match_fraction_loop():
+    """Every cell's mask count is the Fraction count, for the query's signs and RD''s perturbed ones."""
+    tables_used = set()
+    patterns = 0
+    for arr, qs in _cases():
+        den, tables = arr.weight_tables
+        tables_used.add(0 if tables is None else len(tables))
+        reps = arr.direction_cells[0]
+        for q in qs:
+            signs = _signs_at(arr, q)
+            on_idx = [i for i, s in enumerate(signs) if s == 0]
+            sign_rows = [signs]
+            circuits = linalg.signed_circuits([arr[i].normal for i in on_idx])
+            for bits in _new_perturbed_cells(circuits, len(on_idx)):
+                local = list(signs)
+                for j, i in enumerate(on_idx):
+                    local[i] = 1 if bits >> j & 1 else -1
+                sign_rows.append(local)
+            patterns += len(sign_rows) - 1
+            for row in sign_rows:
+                pos = sum(1 << i for i, s in enumerate(row) if s > 0)
+                neg = sum(1 << i for i, s in enumerate(row) if s < 0)
+                for rule in ("closed", "open"):
+                    expected = [_count_signs(arr, row, u, rule) for u in reps]
+                    assert [Fraction(c, den) for c in _tope_counts(arr, pos, neg, rule)] == expected, (arr, q, rule)
+                    best = min(expected)  # the witness is the first minimizing cell
+                    assert _min_count(arr, pos, neg, rule) == (best, reps[expected.index(best)])
+    assert tables_used == {0, 1, 2, 3}
+    assert patterns > 0
+
+
+def _unpruned_search(n, d, valid, k_cap):
+    """The enclosure search without reach pruning: (k, groups, nodes visited)."""
+    nodes = 0
+
+    def extend(chosen, partial, used, k):
+        nonlocal nodes
+        nodes += 1
+        if len(chosen) == d:
+            allowed = [h for h in range(n) if h not in used and all(m | 1 << h in valid for m in partial)]
+            if len(allowed) < k:
+                return None
+            return chosen + (tuple(allowed[:k]),)
+        start = min(chosen[-1]) + 1 if chosen else 0
+        for first in range(start, n):
+            if first in used:
+                continue
+            rest = [h for h in range(n) if h > first and h not in used]
+            for tail in combinations(rest, k - 1):
+                group = (first,) + tail
+                grown = [m | 1 << h for m in partial for h in group]
+                result = extend(chosen + (group,), grown, used | set(group), k)
+                if result is not None:
+                    return result
+        return None
+
+    for k in range(k_cap, 0, -1):
+        found = extend(tuple(), [0], frozenset(), k)
+        if found is not None:
+            return k, found, nodes
+    return 0, None, nodes
+
+
+def _valid_family(rng, n, d):
+    """Random valid (d+1)-sets, sometimes around a planted k-enclosure."""
+    density = rng.choice((0.05, 0.2, 0.5, 0.8))
+    valid = {sum(1 << i for i in c) for c in combinations(range(n), d + 1) if rng.random() < density}
+    k = rng.randint(1, n // (d + 1))
+    if rng.random() < 0.5:
+        order = rng.sample(range(n), (d + 1) * k)
+        groups = [order[j * k : (j + 1) * k] for j in range(d + 1)]
+        for combo in product(*groups):
+            valid.add(sum(1 << i for i in combo))
+    return valid
+
+
+def test_pruned_enclosure_search_matches_unpruned():
+    """Same (k, groups) as the unpruned search, visiting no more nodes."""
+    rng = random.Random("kernel:enclosure-search")
+    found = 0
+    for trial in range(320):
+        d = (2, 3)[trial % 2]
+        n = rng.randint(d + 1, 10 if d == 2 else 9)
+        valid = _valid_family(rng, n, d)
+        k_cap = n // (d + 1)
+        k, groups, nodes = _unpruned_search(n, d, valid, k_cap)
+        assert _search_max_k(n, d, valid, k_cap) == (k, groups), (n, d, sorted(valid))
+        _search_max_k(n, d, valid, k_cap, node_budget=nodes)  # raises if it visits more nodes
+        found += k > 1
+    assert found >= 30
+    with pytest.raises(ExactBudgetExceeded):
+        _search_max_k(6, 2, {0b111}, 2, node_budget=0)
+
+
+def _subset_dp_packing(n, pieces):
+    """Maximum number of disjoint pieces by a DP over all 2^n subsets."""
+    by_low = [[] for _ in range(n)]
+    for piece in pieces:
+        by_low[(piece & -piece).bit_length() - 1].append(piece)
+    dp = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        best = dp[mask & (mask - 1)]
+        for piece in by_low[low]:
+            if piece & mask == piece:
+                best = max(best, dp[mask ^ piece] + 1)
+        dp[mask] = best
+    return dp[(1 << n) - 1]
+
+
+def test_memoized_packing_matches_subset_dp():
+    rng = random.Random("kernel:packing")
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        pieces = set()
+        for _ in range(rng.randint(0, 3 * n)):
+            size = rng.randint(1, min(4, n))
+            pieces.add(sum(1 << i for i in rng.sample(range(n), size)))
+        pieces = sorted(pieces)
+        assert max_packing(n, pieces) == _subset_dp_packing(n, pieces), (n, pieces)
