@@ -33,13 +33,7 @@ from .depth import (
 )
 from .tverberg import (
     TverbergCertificate,
-    TverbergState,
-    descent_step,
-    evaluate_f,
-    exhaustive_tverberg,
     hyperplane_tverberg_depth,
-    make_state,
-    repartition_move,
     solve_tverberg,
     tverberg_point_depth,
     verify_partition,

@@ -315,3 +315,26 @@ def enumerate_faces(arr):
     """
     hyperplanes = [(tuple(map(int, h.normal)), int(h.offset)) for h in arr]  # canonical: integers
     return [(signs, rep) for signs, rep, _ in _faces(hyperplanes, arr.dimension)]
+
+
+def candidate_points(arr):
+    """Points that meet every nonempty closed union of faces of an affine arrangement.
+
+    When the normals span R^d, the closure of every face is a pointed
+    polyhedron and so holds a vertex of the arrangement: the candidates are
+    the vertices, sorted. Otherwise they are one representative of every
+    face, in `enumerate_faces` order. A superlevel set {q : RD(q) >= k} is
+    such a union, and so is the set of points at which every part of a fixed
+    partition has depth >= 1, so the deepest point and the existence of a
+    Tverberg point are both decided on the candidates.
+    """
+    d = arr.dimension
+    normals = [h.normal for h in arr]
+    if linalg.rank(normals) < d:
+        return [rep for _, rep in enumerate_faces(arr)]
+    vertices = set()
+    for subset in combinations(range(len(arr)), d):
+        sol = linalg.solve([normals[i] for i in subset], [arr[i].offset for i in subset])
+        if sol is not None:
+            vertices.add(sol)
+    return sorted(vertices)

@@ -21,12 +21,7 @@ from . import enclosing as enclosing_mod
 from . import planar as planar_mod
 from . import transversal as transversal_mod
 from . import tverberg as tverberg_mod
-from .errors import (
-    ArrDepthError,
-    ExactBudgetExceeded,
-    PrecisionExceeded,
-    SolverBudgetExceeded,
-)
+from .errors import ArrDepthError, ExactBudgetExceeded, PrecisionExceeded
 from .geometry import dump_json, evaluate, frac, frac_str, generate_instance, load_json
 
 
@@ -100,9 +95,7 @@ def build_parser():
 
     sp = sub.add_parser("tverberg", help="solve for a Tverberg partition")
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=16)
-    sp.add_argument("--max-steps", type=int, default=10**4)
+    sp.add_argument("--seed", type=int, default=None, help="recorded in the report; the solver is deterministic")
     sp.add_argument("file")
     sp.add_argument("--out")
 
@@ -256,12 +249,9 @@ def _cmd_hed_verify(args):
 
 def _cmd_tverberg(args):
     arr = _load(args.file)
-    try:
-        cert = tverberg_mod.solve_tverberg(
-            arr, args.r, seed=args.seed, restarts=args.restarts, max_steps=args.max_steps
-        )
-    except SolverBudgetExceeded as exc:
-        return 3, {"error": str(exc)}, {}
+    cert = tverberg_mod.solve_tverberg(arr, args.r, seed=args.seed)
+    if cert is None:
+        return 2, {"parts": None, "q": None, "verified": False}, {}
     outputs = {
         "parts": [list(p) for p in cert.partition],
         "q": _point_out(cert.q),
@@ -390,7 +380,7 @@ def run(argv):
     t0 = time.monotonic()
     try:
         code, outputs, verification = _HANDLERS[args.command](args)
-    except (PrecisionExceeded, ExactBudgetExceeded, SolverBudgetExceeded) as exc:
+    except (PrecisionExceeded, ExactBudgetExceeded) as exc:
         report = {"command": args.command, "error": str(exc)}
         print(json.dumps(report, sort_keys=True))
         return 3, report

@@ -27,9 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg, linprog
-from .cells import direction_cells, enumerate_faces
+from .cells import candidate_points, direction_cells
 from .errors import DimensionError, InvalidDirection, NoDeepPoint
-from .geometry import evaluate, is_general_position, point
+from .geometry import point
 
 
 class MeasureKind(Enum):
@@ -60,11 +60,6 @@ class DepthCertificate:
 
 def _sign(x):
     return 1 if x > 0 else -1 if x < 0 else 0
-
-
-def _residual_signs(arr, q):
-    ev = evaluate(arr, q)
-    return [_sign(s) for s in ev.residuals], ev
 
 
 def _signs_at(arr, q):
@@ -307,47 +302,28 @@ def cell_unbounded(arr, q):
     """True iff q lies in an (open) unbounded cell of the arrangement."""
     if len(arr) == 0:
         return True
-    s_signs, ev = _residual_signs(arr, q)
-    if ev.on_set:
+    s_signs = _signs_at(arr, q)
+    if 0 in s_signs:
         return False
     rows = [linalg.vscale(s, h.normal) for s, h in zip(s_signs, arr)]
     return linprog.recession_direction(rows) is not None
 
 
-def _vertices(arr):
-    d = arr.dimension
-    normals = [h.normal for h in arr]
-    offsets = [h.offset for h in arr]
-    out = []
-    seen = set()
-    for subset in combinations(range(len(arr)), d):
-        sol = linalg.solve([normals[i] for i in subset], [offsets[i] for i in subset])
-        if sol is not None and sol not in seen:
-            seen.add(sol)
-            out.append(sol)
-    return sorted(out)
-
-
 def deepest_point(arr):
     """A point of maximum regression depth, with its exact depth and witness.
 
-    Depth is constant on each face of the arrangement, so one representative
-    per face suffices; any d is exact. Generic arrangements with n >= d only
-    need the vertices: depth never decreases when walking from a face to a
-    face of its boundary, and every face of such an arrangement has a vertex
-    in its closure. Other inputs scan every face from `enumerate_faces`. Ties
-    go to the smallest point.
+    Depth is constant on each face of the arrangement and never decreases
+    from a face to a face of its boundary, so the scan over
+    `cells.candidate_points` is exact in any d: the vertices when the normals
+    span R^d, one representative per face otherwise. Ties go to the smallest
+    point.
     """
     if len(arr) == 0:
         raise NoDeepPoint("empty arrangement has no deepest point")
-    if len(arr) >= arr.dimension and is_general_position(arr):
-        candidates = _vertices(arr)
-    else:
-        candidates = [rep for _, rep in enumerate_faces(arr)]
     best_val = None
     best_pt = None
     best_cert = None
-    for p in candidates:
+    for p in candidate_points(arr):
         val, cert = regression_depth(arr, p)
         if best_val is None or val > best_val or (val == best_val and p < best_pt):
             best_val, best_pt, best_cert = val, p, cert

@@ -187,7 +187,7 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
             rest = [h for h in range(n) if not piece >> h & 1]
             for extra in combinations(rest, d + 1 - piece.bit_count()):
                 valid.add(piece | sum(1 << h for h in extra))
-    k, groups = _search_max_k(n, d, valid, min(n // (d + 1), max_packing(n, pieces)))
+    k, groups = _search_max_k(n, d, valid, min(n // (d + 1), len(max_packing(pieces))))
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)

@@ -29,14 +29,6 @@ class PartitionError(ArrDepthError):
     """Raised for a structurally invalid partition of an arrangement."""
 
 
-class MoveNotFound(ArrDepthError):
-    """Raised when no admissible partition-improvement move exists."""
-
-
-class SolverBudgetExceeded(ArrDepthError):
-    """Raised when the Tverberg solver runs out of restarts without a verified certificate."""
-
-
 class ExactBudgetExceeded(ArrDepthError):
     """Raised when an exact combinatorial search exceeds its instance-size budget.
 

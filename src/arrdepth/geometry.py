@@ -208,15 +208,6 @@ class Arrangement:
                 zero |= 1 << i
         return pos, zero
 
-    @cached_property
-    def float_data(self) -> tuple[tuple[tuple[float, ...], float, float], ...]:
-        """(normal, offset, |normal|^2) of each hyperplane in floats, for the Tverberg descent."""
-        out = []
-        for h in self.hyperplanes:
-            a = tuple(float(c) for c in h.normal)
-            out.append((a, float(h.offset), sum(c * c for c in a)))
-        return tuple(out)
-
     def subset(self, indices) -> "Arrangement":
         return Arrangement(self.dimension, tuple(self.hyperplanes[i] for i in indices))
 

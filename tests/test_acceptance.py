@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from partition_oracle import exhaustive_tverberg
 
 from arrdepth import linalg
 from arrdepth.axioms import check_axioms
@@ -38,12 +39,7 @@ from arrdepth.planar import (
     label_depth,
 )
 from arrdepth.transversal import solve_planar_transversal
-from arrdepth.tverberg import (
-    exhaustive_tverberg,
-    hyperplane_tverberg_depth,
-    solve_tverberg,
-    tverberg_point_depth,
-)
+from arrdepth.tverberg import hyperplane_tverberg_depth, solve_tverberg, tverberg_point_depth
 
 
 def report(num, ok, detail):

@@ -64,6 +64,14 @@ def test_tverberg_cli(tmp_path):
     assert len(rep["outputs"]["parts"]) == 2
 
 
+def test_tverberg_cli_no_partition_exit_2(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(dump_json(generate_instance(33, 2, 4, "generic")))
+    code, rep = run(["tverberg", "--r", "4", str(path)])
+    assert code == 2
+    assert rep["outputs"] == {"parts": None, "q": None, "verified": False}
+
+
 def test_depthmap_svg(tri_file, tmp_path):
     out = tmp_path / "map.svg"
     code, rep = run(["depthmap", "--measure", "rd", "--out", str(out), tri_file])

@@ -212,4 +212,9 @@ def test_memoized_packing_matches_subset_dp():
             size = rng.randint(1, min(4, n))
             pieces.add(sum(1 << i for i in rng.sample(range(n), size)))
         pieces = sorted(pieces)
-        assert max_packing(n, pieces) == _subset_dp_packing(n, pieces), (n, pieces)
+        packed = max_packing(pieces)
+        assert len(packed) == _subset_dp_packing(n, pieces), (n, pieces)
+        used = 0
+        for piece in packed:
+            assert piece in pieces and not piece & used, (n, pieces, packed)
+            used |= piece

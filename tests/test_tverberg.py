@@ -1,90 +1,18 @@
-import math
+import random
 from fractions import Fraction
 
 import pytest
+from partition_oracle import exhaustive_tverberg
 
 from arrdepth.depth import regression_depth
 from arrdepth.errors import ExactBudgetExceeded, PartitionError
-from arrdepth.geometry import arrangement, evaluate, generate_instance
+from arrdepth.geometry import Arrangement, arrangement, evaluate, generate_instance, hyperplane
 from arrdepth.tverberg import (
-    descent_step,
-    evaluate_f,
-    exhaustive_tverberg,
     hyperplane_tverberg_depth,
-    make_state,
-    nearest_in_hull,
-    repartition_move,
     solve_tverberg,
     tverberg_point_depth,
     verify_partition,
 )
-
-
-def test_evaluate_f_zero_at_tverberg_point(tri):
-    # corner (0,0) lies on the first two lines: parts {0}, {1, 2}
-    f, parts, _ = evaluate_f(tri, [(0,), (1, 2)], (0.0, 0.0))
-    assert f < 1e-12
-
-
-def test_evaluate_f_singleton_distance():
-    arr = arrangement(2, [((3, 4), 5)])
-    f, _, _ = evaluate_f(arr, [(0,)], (0.0, 0.0))
-    assert abs(f - 1.0) < 1e-12  # |s| / |a| = 5/5
-
-
-def test_evaluate_f_triangle_singletons(tri):
-    q = (0.25, 0.25)
-    f, parts, tangent = evaluate_f(tri, [(0,), (1,), (2,)], q)
-    dists = [0.25, 0.25, 0.5 / math.sqrt(2)]
-    assert abs(f - max(dists)) < 1e-12
-    assert tangent == (2,)
-
-
-def test_evaluate_f_invalid_partition(tri):
-    with pytest.raises(PartitionError):
-        evaluate_f(tri, [(0,), (0, 1, 2)], (0.0, 0.0))
-    with pytest.raises(PartitionError):
-        evaluate_f(tri, [(0,), (1,)], (0.0, 0.0))
-
-
-def test_nearest_in_hull_segment():
-    y, support, dist = nearest_in_hull([(1.0, 1.0), (1.0, -1.0)], (0.0, 0.0))
-    assert abs(dist - 1.0) < 1e-12
-    assert abs(y[0] - 1.0) < 1e-12 and abs(y[1]) < 1e-9
-    assert len(support) == 2
-
-
-def test_descent_decreases_f(tri):
-    state = make_state(tri, [(0,), (1,), (2,)], (3.0, 2.0))
-    nxt = descent_step(state)
-    assert nxt.status == "ok"
-    assert nxt.f < state.f
-
-
-def test_descent_rejects_zero_f(tri):
-    state = make_state(tri, [(0,), (1, 2)], (0.0, 0.0))
-    with pytest.raises(PartitionError):
-        descent_step(state)
-
-
-def test_repartition_move_changes_partition():
-    from arrdepth.errors import MoveNotFound
-
-    arr = generate_instance(42, 2, 7, "generic")
-    state = make_state(arr, [tuple(range(0, 3)), tuple(range(3, 5)), tuple(range(5, 7))], (0.0, 0.0))
-    # drive to a stall, then ask for a move
-    for _ in range(500):
-        nxt = descent_step(state)
-        if nxt.status == "stalled":
-            break
-        state = nxt
-    if state.f > 0:
-        try:
-            moved = repartition_move(state)
-        except MoveNotFound:
-            return  # a move need not exist at a non-critical stall
-        assert sorted(i for p in moved.partition for i in p) == list(range(7))
-        assert moved.partition != state.partition
 
 
 def test_solve_r1_uses_incidence():
@@ -105,8 +33,8 @@ def test_solve_small_configs_verified():
 
 
 def test_solve_absorbs_extra_hyperplanes():
-    # n > r(d+1): the solver works on a core sub-arrangement and absorbs the
-    # rest into one part, which cannot lower that part's depth
+    # n > r(d+1): the solver works on a core sub-arrangement and deals the
+    # rest onto the parts, which cannot lower their depth
     arr = generate_instance(8, 2, 8, "generic")
     cert = solve_tverberg(arr, 2, seed=3)
     assert cert.verified
@@ -114,9 +42,14 @@ def test_solve_absorbs_extra_hyperplanes():
 
 
 def test_solve_precondition():
+    # n = 3 < (r-1)(d+1)+1 = 4: the bound is sufficient, not necessary, and a
+    # partition exists here; the scan finds it exactly as the oracle does
     arr = generate_instance(3, 2, 3, "generic")
+    assert exhaustive_tverberg(arr, 2) is not None
+    cert = solve_tverberg(arr, 2)
+    assert cert is not None and verify_partition(arr, cert.partition, cert.q) is not None
     with pytest.raises(PartitionError):
-        solve_tverberg(arr, 2)  # needs (r-1)(d+1)+1 = 4
+        solve_tverberg(arr, 0)
 
 
 def test_exhaustive_matches_solver():
@@ -135,23 +68,60 @@ def test_exhaustive_3d():
         assert regression_depth(arr.subset(part), cert.q)[0] >= 1
 
 
-def test_solver_budget_exceeded_without_fallback():
-    from arrdepth.errors import SolverBudgetExceeded
-
-    # restarts=0 disables the descent and n=10 is past the exhaustive threshold
-    arr = generate_instance(3, 2, 10, "generic")
-    with pytest.raises(SolverBudgetExceeded):
-        solve_tverberg(arr, 2, restarts=0)
-
-
 def test_exhaustive_all_singletons_none():
     arr = generate_instance(33, 2, 4, "generic")
     # r = n forces every part to be a single hyperplane: q would lie on all of them
     assert exhaustive_tverberg(arr, 4) is None
+    assert solve_tverberg(arr, 4) is None
+
+
+def _small_arrangement(rng, d, n):
+    """Unit-weight hyperplanes with coordinates in [-2, 2]: parallel,
+    concurrent and duplicate hyperplanes are common."""
+    hs = []
+    while len(hs) < n:
+        normal = [rng.randint(-2, 2) for _ in range(d)]
+        if any(normal):
+            hs.append(hyperplane(normal, rng.randint(-2, 2)))
+    return Arrangement(d, tuple(hs))
+
+
+def test_solver_matches_partition_oracle():
+    rng = random.Random("tverberg:oracle")
+    arrs = [
+        # all parallel: the normals have rank 1 < d, so faces are scanned
+        arrangement(2, [((1, 1), b) for b in (-2, -1, 0, 1, 2)]),
+        arrangement(3, [((1, 2, 0), b) for b in (-1, 0, 1, 2)]),
+    ]
+    for t in range(320):
+        d = 4 if t % 40 == 0 else 2 + t % 2
+        arrs.append(_small_arrangement(rng, d, rng.randint(1, 6 if d == 2 else 5)))
+    found = missing = 0
+    for arr in arrs:
+        for r in range(1, len(arr) + 1):
+            cert = solve_tverberg(arr, r)
+            expected = exhaustive_tverberg(arr, r)
+            assert (cert is None) == (expected is None), (arr, r)
+            if cert is None:
+                missing += 1
+                continue
+            found += 1
+            assert len(cert.partition) == r
+            assert sorted(i for p in cert.partition for i in p) == list(range(len(arr)))
+            assert verify_partition(arr, cert.partition, cert.q) is not None
+    assert found >= 500 and missing >= 200
 
 
 def test_verify_partition_rejects_shallow(tri):
     assert verify_partition(tri, ((0,), (1,), (2,)), (Fraction(8), Fraction(9))) is None
+
+
+def test_verify_partition_rejects_non_partitions(tri):
+    origin = (0, 0)  # on lines 0 and 1: every part holding either has depth >= 1
+    assert verify_partition(tri, ((0,), (1, 2)), origin) is not None
+    for bad in (((0,), (0, 1, 2)), ((0, 1),), ((0,), (-1, 1)), ((0,), (1, 3)), ((0, 1, 2), ())):
+        with pytest.raises(PartitionError):
+            verify_partition(tri, bad, origin)
 
 
 def test_htvd_triangle(tri):
