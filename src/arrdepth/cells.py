@@ -13,14 +13,13 @@ Two related tasks live here:
 One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986). The
 faces on a hyperplane H are the faces of its trace arrangement {H' cap H},
 enumerated in d-1 coordinates of H and lifted back; the cells are reached by
-nudging each facet representative to both sides of H. d = 2 is the planar
-sweep `faces_2d`, which does the same one dimension down, and d = 0 is a
-point. A central arrangement in d >= 3 is read off its two affine slices
-u_d = +-1, which every open cell meets.
+nudging each facet representative to both sides of H. The recursion bottoms
+out at d = 0, a point, so the planar complex is one case of it. A central
+arrangement in d >= 3 is read off its two affine slices u_d = +-1, which
+every open cell meets.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations
@@ -128,127 +127,6 @@ def _direction_cells_sliced(lines, d):
     return reps
 
 
-@dataclass(frozen=True)
-class Face2:
-    """A face of a planar line arrangement: sign vector, dimension, interior point."""
-
-    dim: int
-    signs: tuple
-    rep: tuple
-    line: int | None = None  # supporting line for dim-1 faces
-    span: tuple | None = None  # (t_lo, t_hi) parameters along the line, None = unbounded
-
-
-def _perp2(a):
-    return (-a[1], a[0])
-
-
-def _line_anchor(a, c):
-    nn = a[0] * a[0] + a[1] * a[1]
-    return (c * a[0] / nn, c * a[1] / nn)
-
-
-def _sign_vector(lines, p):
-    out = []
-    for a, c in lines:
-        s = a[0] * p[0] + a[1] * p[1] - c
-        out.append(1 if s > 0 else -1 if s < 0 else 0)
-    return tuple(out)
-
-
-def faces_2d(lines):
-    """All faces of a planar arrangement of lines ((a, c) with a.x = c), exactly.
-
-    Handles degenerate inputs (parallel, concurrent and duplicate lines).
-    Returns Face2 records: vertices first, then edges per line, then cells,
-    in a deterministic order.
-    """
-    lines = [((Fraction(a[0]), Fraction(a[1])), Fraction(c)) for a, c in lines]
-    distinct = []
-    rep_of = {}
-    for i, (a, c) in enumerate(lines):
-        key = canonical_line((a[0], a[1], c))
-        if key not in rep_of:
-            rep_of[key] = len(distinct)
-            distinct.append((a, c))
-
-    faces = []
-    if not lines:
-        faces.append(Face2(2, (), (Fraction(0), Fraction(0))))
-        return faces
-
-    # Vertices: pairwise intersections of distinct lines.
-    vertices = []
-    vset = {}
-    for (i, (a1, c1)), (j, (a2, c2)) in combinations(enumerate(distinct), 2):
-        det = a1[0] * a2[1] - a1[1] * a2[0]
-        if det == 0:
-            continue
-        x = (c1 * a2[1] - c2 * a1[1]) / det
-        y = (a1[0] * c2 - a2[0] * c1) / det
-        if (x, y) not in vset:
-            vset[(x, y)] = True
-            vertices.append((x, y))
-    vertices.sort()
-    for v in vertices:
-        faces.append(Face2(0, _sign_vector(lines, v), v))
-
-    # Edges: each distinct line subdivided by the vertices lying on it.
-    edge_faces = []
-    for li, (a, c) in enumerate(distinct):
-        anchor = _line_anchor(a, c)
-        direction = _perp2(a)
-        dd = direction[0] * direction[0] + direction[1] * direction[1]
-        params = sorted(
-            {
-                (direction[0] * (v[0] - anchor[0]) + direction[1] * (v[1] - anchor[1])) / dd
-                for v in vertices
-                if a[0] * v[0] + a[1] * v[1] == c
-            }
-        )
-        if not params:
-            spans = [(None, None)]
-            reps_t = [Fraction(0)]
-        else:
-            spans = [(None, params[0])]
-            reps_t = [params[0] - 1]
-            for t1, t2 in zip(params, params[1:]):
-                spans.append((t1, t2))
-                reps_t.append((t1 + t2) / 2)
-            spans.append((params[-1], None))
-            reps_t.append(params[-1] + 1)
-        for span, t in zip(spans, reps_t):
-            p = (anchor[0] + t * direction[0], anchor[1] + t * direction[1])
-            edge_faces.append(Face2(1, _sign_vector(lines, p), p, line=li, span=span))
-    faces.extend(edge_faces)
-
-    # Cells: nudge every edge representative to both sides, dedupe by sign vector.
-    cell_signs = {}
-    cell_faces = []
-    for ef in edge_faces:
-        a, _ = distinct[ef.line]
-        p = ef.rep
-        dists = []
-        for aj, cj in distinct:
-            denom = aj[0] * a[0] + aj[1] * a[1]
-            if denom == 0:
-                continue
-            s = aj[0] * p[0] + aj[1] * p[1] - cj
-            if s != 0:
-                dists.append(abs(s) / abs(denom))
-        step = min(dists) / 2 if dists else Fraction(1)
-        for sgn in (1, -1):
-            qp = (p[0] + sgn * step * a[0], p[1] + sgn * step * a[1])
-            sv = _sign_vector(lines, qp)
-            if 0 in sv:
-                continue  # duplicate-line artifact; the true cell comes from another nudge
-            if sv not in cell_signs:
-                cell_signs[sv] = True
-                cell_faces.append(Face2(2, sv, qp))
-    faces.extend(cell_faces)
-    return faces
-
-
 def _residuals(hyperplanes, p):
     """(den, [den * (a.p - c)]): the residuals of a rational point as integers, den > 0."""
     den = reduce(math.lcm, (x.denominator for x in p), 1)
@@ -270,8 +148,6 @@ def _faces(hyperplanes, d):
     """
     if not hyperplanes:
         return [((), (Fraction(0),) * d, d)]
-    if d == 2:
-        return [(f.signs, f.rep, f.dim) for f in faces_2d(hyperplanes)]
     found = {}  # sign vector -> (rep, dim), in order of discovery
     for a, c in hyperplanes:
         # Trace on a.x = c: eliminate x_k, the first coordinate with a_k != 0.
@@ -307,14 +183,12 @@ def _faces(hyperplanes, d):
 
 
 def enumerate_faces(arr):
-    """Faces of an affine arrangement as (signs, representative) pairs, any d.
+    """Faces of an affine arrangement as (signs, representative, dim) triples, any d.
 
-    Exact and LP-free: `_faces` recurses on hyperplane traces down to the
-    planar sweep. d = 2 gives `faces_2d`'s order; otherwise lower faces come
-    first, by dimension, then the cells.
+    Exact and LP-free: `_faces` recurses on hyperplane traces down to a
+    point. Lower faces come first, by dimension, then the cells.
     """
-    hyperplanes = [(tuple(map(int, h.normal)), int(h.offset)) for h in arr]  # canonical: integers
-    return [(signs, rep) for signs, rep, _ in _faces(hyperplanes, arr.dimension)]
+    return _faces(arr.int_rows, arr.dimension)
 
 
 def candidate_points(arr):
@@ -331,7 +205,7 @@ def candidate_points(arr):
     d = arr.dimension
     normals = [h.normal for h in arr]
     if linalg.rank(normals) < d:
-        return [rep for _, rep in enumerate_faces(arr)]
+        return [rep for _, rep, _ in enumerate_faces(arr)]
     vertices = set()
     for subset in combinations(range(len(arr)), d):
         sol = linalg.solve([normals[i] for i in subset], [arr[i].offset for i in subset])

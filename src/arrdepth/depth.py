@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg, linprog
+from . import linalg
 from .cells import candidate_points, direction_cells
 from .errors import DimensionError, InvalidDirection, NoDeepPoint
 from .geometry import point
@@ -299,14 +299,26 @@ def dual_tukey_depth(points, q, weights=None):
 
 
 def cell_unbounded(arr, q):
-    """True iff q lies in an (open) unbounded cell of the arrangement."""
+    """True iff q lies in an (open) unbounded cell of the arrangement.
+
+    The cell {x : s_i (a_i.x - c_i) > 0} is bounded iff its recession cone
+    {u : s_i a_i.u >= 0} is {0}. That needs the normals to span R^d, and then
+    holds iff some y > 0 has sum y_i s_i a_i = 0 (Stiemke's alternative),
+    that is iff the supports of the signed circuits that are positive on
+    every s_i a_i cover all hyperplanes.
+    """
     if len(arr) == 0:
         return True
-    s_signs = _signs_at(arr, q)
-    if 0 in s_signs:
+    pos, zero = arr.sign_masks(q)
+    if zero:
         return False
-    rows = [linalg.vscale(s, h.normal) for s, h in zip(s_signs, arr)]
-    return linprog.recession_direction(rows) is not None
+    if linalg.rank([h.normal for h in arr]) < arr.dimension:
+        return True
+    covered = 0
+    for supp, plus in arr.circuits:
+        if plus == supp & pos:
+            covered |= supp
+    return covered != (1 << len(arr)) - 1
 
 
 def deepest_point(arr):

@@ -180,10 +180,6 @@ def vsub(u, v):
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
 def vscale(c, u):
     c = Fraction(c)
     return tuple(c * Fraction(a) for a in u)

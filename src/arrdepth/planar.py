@@ -1,9 +1,11 @@
 """Planar line-arrangement face complexes, depth labeling, regions and SVG maps.
 
-Faces are kept combinatorially (sign vectors plus one exact interior
-representative each); geometry is reconstructed exactly where needed by
-clipping against a bounding box at twice the vertex extent. Region topology
-is decided on the combinatorial complex, so clipping never creates artifacts:
+Faces come from `cells.enumerate_faces` and are kept combinatorially (sign
+vectors plus one exact interior representative each). All geometry is one
+exact clip of a bounding box at twice the vertex extent: by every line on
+the face's side, and by both sides of the lines the face lies on. That gives
+a cell's polygon, an edge's segment or a vertex's point. Region topology is
+decided on the combinatorial complex, so clipping never creates artifacts:
 the box only enters the Euler-characteristic bookkeeping, where it is a
 deformation retract of the unbounded complex.
 """
@@ -11,7 +13,7 @@ deformation retract of the unbounded complex.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import faces_2d
+from .cells import enumerate_faces
 from .depth import open_regression_depth, regression_depth, truncated_regression_depth, MeasureKind
 from .errors import DimensionError
 from .geometry import Arrangement
@@ -29,8 +31,6 @@ class PlanarFace:
     dim: int
     signs: tuple
     rep: tuple
-    line: int | None = None  # distinct-line index carrying a dim-1 face
-    span: tuple | None = None
     degenerate: bool = False  # vertex where more than two distinct lines meet
 
 
@@ -54,13 +54,8 @@ class PlanarSubdivision:
         return [f for f in self.faces if f.dim == 2]
 
     def bounded(self, face):
-        if face.dim == 0:
-            return True
-        if face.dim == 1:
-            return face.span is not None and face.span[0] is not None and face.span[1] is not None
-        poly = cell_polygon(self, face)
         xmin, ymin, xmax, ymax = self.bbox
-        return all(xmin < x < xmax and ymin < y < ymax for x, y in poly)
+        return all(xmin < x < xmax and ymin < y < ymax for x, y in cell_polygon(self, face))
 
 
 def incident(lower, upper):
@@ -85,16 +80,12 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
     """Exact face complex of a 2D arrangement (degeneracies allowed)."""
     if arr.dimension != 2:
         raise DimensionError("planar subdivision requires d = 2")
-    lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
     distinct = _distinct_lines_of(arr)
-    raw = faces_2d(lines)
+    keys = [h.geometry() for h in arr]
     faces = []
-    for i, f in enumerate(raw):
-        degenerate = False
-        if f.dim == 0:
-            on = [(a, c) for (a, c) in distinct if a[0] * f.rep[0] + a[1] * f.rep[1] == c]
-            degenerate = len(on) > 2
-        faces.append(PlanarFace(i, f.dim, f.signs, f.rep, f.line, f.span, degenerate))
+    for i, (signs, rep, dim) in enumerate(enumerate_faces(arr)):
+        on = {key for key, s in zip(keys, signs) if s == 0}
+        faces.append(PlanarFace(i, dim, signs, rep, dim == 0 and len(on) > 2))
     # bounding box at twice the extent of vertices and line anchors
     ext = Fraction(1)
     pts = [f.rep for f in faces if f.dim == 0]
@@ -160,65 +151,53 @@ def _clip_halfplane(poly, a, c, sign):
     for p in out:
         if not dedup or dedup[-1] != p:
             dedup.append(p)
-    if dedup and dedup[0] == dedup[-1]:
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return dedup
 
 
-def cell_polygon(sub: PlanarSubdivision, face) -> list:
-    """The cell clipped to the bounding box, as an exact convex polygon."""
+def _box_clip(sub: PlanarSubdivision, halfplanes):
+    """The bounding box clipped by (a, c, sign) half-planes, as an exact convex point list."""
     xmin, ymin, xmax, ymax = sub.bbox
     poly = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    rep = face.rep
-    for a, c in sub.lines:
-        s = 1 if a[0] * rep[0] + a[1] * rep[1] - c > 0 else -1
-        poly = _clip_halfplane(poly, a, c, s)
+    for a, c, sign in halfplanes:
+        poly = _clip_halfplane(poly, a, c, sign)
     return poly
 
 
-def _edge_segment(sub: PlanarSubdivision, face):
-    """Clipped endpoints of a dim-1 face (rational points on the box if unbounded)."""
-    a, c = sub.lines[face.line]
-    nn = a[0] * a[0] + a[1] * a[1]
-    anchor = (c * a[0] / nn, c * a[1] / nn)
-    direction = (-a[1], a[0])
-    xmin, ymin, xmax, ymax = sub.bbox
-    lo, hi = None, None  # box clip window in t
-    for comp, lo_b, hi_b in ((0, xmin, xmax), (1, ymin, ymax)):
-        d0, p0 = direction[comp], anchor[comp]
-        if d0 == 0:
-            continue
-        t1, t2 = (lo_b - p0) / d0, (hi_b - p0) / d0
-        t1, t2 = min(t1, t2), max(t1, t2)
-        lo = t1 if lo is None else max(lo, t1)
-        hi = t2 if hi is None else min(hi, t2)
-    t_lo, t_hi = face.span
-    if t_lo is not None:
-        lo = t_lo if lo is None else max(lo, t_lo)
-    if t_hi is not None:
-        hi = t_hi if hi is None else min(hi, t_hi)
-    p1 = (anchor[0] + lo * direction[0], anchor[1] + lo * direction[1])
-    p2 = (anchor[0] + hi * direction[0], anchor[1] + hi * direction[1])
-    return p1, p2
+def _line_segment(sub: PlanarSubdivision, a, c) -> list:
+    """The line a.x = c clipped to the bounding box: its two ends on the box."""
+    return _box_clip(sub, [(a, c, 1), (a, c, -1)])
+
+
+def cell_polygon(sub: PlanarSubdivision, face) -> list:
+    """The face clipped to the bounding box, exactly.
+
+    A cell gives a convex polygon, an edge the two ends of its segment and a
+    vertex its point: the box is clipped by every line on the face's side,
+    and by both sides of each line the face lies on. Those lines go first,
+    so the other clips act on a segment or a point.
+    """
+    rep = face.rep
+    on, off = [], []
+    for a, c in sub.lines:
+        v = a[0] * rep[0] + a[1] * rep[1] - c
+        if v == 0:
+            on += [(a, c, 1), (a, c, -1)]
+        else:
+            off.append((a, c, 1 if v > 0 else -1))
+    return _box_clip(sub, on + off)
 
 
 def euler_counts(sub: PlanarSubdivision):
     """V, E, F of the box-clipped complex; V - E + F = 2 certifies consistency."""
     xmin, ymin, xmax, ymax = sub.bbox
-    verts = {f.rep for f in sub.vertices}
-    V = len(verts)
-    E = 0
     boundary_pts = {(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)}
-    for li in range(len(sub.lines)):
-        on_line = [f for f in sub.edges if f.line == li]
-        E += len(on_line)
-        for f in on_line:
-            for p, bound in zip(_edge_segment(sub, f), (f.span[0], f.span[1])):
-                if bound is None:
-                    boundary_pts.add(p)
-    V += len(boundary_pts)
-    # boundary cycle: one edge per consecutive pair of boundary points
-    E += len(boundary_pts)
+    for a, c in sub.lines:
+        boundary_pts.update(_line_segment(sub, a, c))
+    V = len(sub.vertices) + len(boundary_pts)
+    # the boundary cycle has one edge per consecutive pair of boundary points
+    E = len(sub.edges) + len(boundary_pts)
     F = len(sub.cells) + 1  # outer face
     return V, E, F
 
@@ -275,22 +254,12 @@ def check_contractible(sub: PlanarSubdivision, region: DepthRegion) -> Contracti
     # Euler characteristic of the clipped region
     vset = set()
     eset = set()
-    ncells = 0
     for f in faces:
-        if f.dim == 0:
-            vset.add(f.rep)
-        elif f.dim == 1:
-            p1, p2 = _edge_segment(sub, f)
-            vset.update((p1, p2))
-            eset.add(tuple(sorted((p1, p2))))
-        else:
-            ncells += 1
-            poly = cell_polygon(sub, f)
-            for i in range(len(poly)):
-                p1, p2 = poly[i], poly[(i + 1) % len(poly)]
-                vset.update((p1, p2))
-                eset.add(tuple(sorted((p1, p2))))
-    chi = len(vset) - len(eset) + ncells
+        poly = cell_polygon(sub, f)
+        vset.update(poly)
+        if f.dim > 0:  # a segment's two sides are one edge
+            eset.update(tuple(sorted((p, poly[i - 1]))) for i, p in enumerate(poly))
+    chi = len(vset) - len(eset) + sum(1 for f in faces if f.dim == 2)
     if components > 1:
         return ContractibilityReport("disconnected", False, components, chi)
     if chi != 1:
@@ -352,21 +321,8 @@ def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=100
         out.append(f'<polygon points="{pts}" fill="{_ramp(table.values[f.index], vmax)}" stroke="none"/>')
     out.append("</g>")
     out.append('<g id="lines" stroke="#222222" stroke-width="1.5">')
-    for li in range(len(sub.lines)):
-        full = [f for f in sub.edges if f.line == li]
-        if not full:
-            continue
-        ends = []
-        for f in full:
-            if f.span[0] is None:
-                ends.append(_edge_segment(sub, f)[0])
-            if f.span[1] is None:
-                ends.append(_edge_segment(sub, f)[1])
-        if len(ends) < 2:  # fully degenerate; draw the single clipped edge
-            p1, p2 = _edge_segment(sub, full[0])
-        else:
-            p1, p2 = ends[0], ends[1]
-        a1, a2 = tx(p1), tx(p2)
+    for a, c in sub.lines:
+        a1, a2 = (tx(p) for p in _line_segment(sub, a, c))
         out.append(f'<line x1="{_fmt(a1[0])}" y1="{_fmt(a1[1])}" x2="{_fmt(a2[0])}" y2="{_fmt(a2[1])}"/>')
     out.append("</g>")
     out.append('<g id="vertices" fill="#000000">')

@@ -44,7 +44,7 @@ def exhaustive_tverberg(arr, r, max_partitions=200_000):
     n = len(arr)
     if r < 1 or n == 0 or r > n:
         return None
-    reps = [rep for _, rep in enumerate_faces(arr)]
+    reps = [rep for _, rep, _ in enumerate_faces(arr)]
     dual_cache = [tuple(h.foot(q) for h in arr) for q in reps]
     memo = {}
 

@@ -13,14 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from arrdepth import linalg, linprog
-from arrdepth.cells import (
-    _distinct_lines,
-    _faces,
-    direction_cells,
-    enumerate_faces,
-    faces_2d,
-    normalize_ray,
-)
+from arrdepth.cells import _distinct_lines, direction_cells, enumerate_faces, normalize_ray
 from arrdepth.depth import deepest_point, regression_depth
 from arrdepth.geometry import Arrangement, generate_instance, hyperplane
 
@@ -81,8 +74,8 @@ def _degenerate(seed, d, n):
 
 def _assert_faces_valid(arr, faces):
     """Distinct sign vectors, each representative inside its face."""
-    assert len({signs for signs, _ in faces}) == len(faces)
-    for signs, rep in faces:
+    assert len({signs for signs, _, _ in faces}) == len(faces)
+    for signs, rep, _ in faces:
         for h, s in zip(arr, signs):
             r = h.residual(rep)
             assert (r > 0, r < 0, r == 0) == (s == 1, s == -1, s == 0)
@@ -130,7 +123,7 @@ def test_faces_2d_against_sampling():
     rng = random.Random(3)
     arr = generate_instance(7, 2, 6, "generic")
     lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
-    enum_cells = {f.signs for f in faces_2d(lines) if f.dim == 2}
+    enum_cells = {signs for signs, _, dim in enumerate_faces(arr) if dim == 2}
     sampled = set()
     for _ in range(3000):
         p = (Fraction(rng.randint(-10**6, 10**6), 99), Fraction(rng.randint(-10**6, 10**6), 101))
@@ -145,12 +138,11 @@ def test_faces_2d_against_sampling():
 
 def test_faces_2d_counts_simple():
     arr = generate_instance(9, 2, 7, "generic")
-    lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
-    faces = faces_2d(lines)
+    faces = enumerate_faces(arr)
     n = 7
-    assert sum(1 for f in faces if f.dim == 0) == comb(n, 2)
-    assert sum(1 for f in faces if f.dim == 1) == n * n
-    assert sum(1 for f in faces if f.dim == 2) == 1 + n + comb(n, 2)
+    assert sum(1 for _, _, dim in faces if dim == 0) == comb(n, 2)
+    assert sum(1 for _, _, dim in faces if dim == 1) == n * n
+    assert sum(1 for _, _, dim in faces if dim == 2) == 1 + n + comb(n, 2)
 
 
 def test_face_representatives_in_relative_interior():
@@ -160,27 +152,28 @@ def test_face_representatives_in_relative_interior():
 
 
 def test_enumerate_faces_matches_lp_oracle_degenerate():
-    # 214 arrangements; the oracle's LPs make d=3, n=5 and d=4, n=5 the costly ones
+    # 254 arrangements; the oracle's LPs make d=3, n=5 and d=4, n=5 the costly ones
     cases = [(1, n) for n in (2, 3, 4, 5, 6)] * 20
     cases += [(3, 3), (3, 4)] * 40 + [(3, 5)] * 8 + [(4, 3), (4, 4)] * 12 + [(4, 5)] * 2
+    cases += [(2, n) for n in (3, 4, 5, 6)] * 10
     for seed, (d, n) in enumerate(cases):
         arr = _degenerate(seed, d, n)
         faces = enumerate_faces(arr)
         _assert_faces_valid(arr, faces)
-        assert {signs for signs, _ in faces} == {signs for signs, _ in _lp_faces(arr)}, (seed, d, n)
+        assert {signs for signs, _, _ in faces} == {signs for signs, _ in _lp_faces(arr)}, (seed, d, n)
 
 
 def test_enumerate_faces_simple_counts():
     # a simple arrangement has f_k = C(n, d-k) * sum_{i<=k} C(n-d+k, i) faces of dimension k
-    for d, ns in ((3, (4, 5, 6, 7)), (4, (5, 6))):
+    for d, ns in ((2, (3, 5, 8)), (3, (4, 5, 6, 7)), (4, (5, 6))):
         for n in ns:
             arr = generate_instance(13 + n, d, n, "generic")
-            faces = _faces([(h.normal, h.offset) for h in arr], d)
+            faces = enumerate_faces(arr)
             for k in range(d + 1):
                 expected = comb(n, d - k) * sum(comb(n - d + k, i) for i in range(k + 1))
                 assert sum(1 for _, _, dim in faces if dim == k) == expected, (d, n, k)
                 assert all(signs.count(0) == d - dim for signs, _, dim in faces)
-            _assert_faces_valid(arr, [(signs, rep) for signs, rep, _ in faces])
+            _assert_faces_valid(arr, faces)
 
 
 def test_deepest_point_degenerate_dimension_four():

@@ -126,30 +126,31 @@ def test_open_depth_degenerate_matches_explicit_perturbation():
     # reaching into a small box around q whose signs on the lines through q
     # no cell of the unperturbed arrangement has
     from arrdepth import linalg, linprog
-    from arrdepth.cells import faces_2d
+    from arrdepth.cells import enumerate_faces
     from arrdepth.geometry import Arrangement, Hyperplane
 
     def cells_near(arr, q, tol):
+        """(signs, rep) of the cells that reach into the box of radius tol around q."""
         lines = [((h.normal[0], h.normal[1]), h.offset) for h in arr]
-        for f in faces_2d(lines):
-            if 0 in f.signs:
+        for signs, rep, dim in enumerate_faces(arr):
+            if dim != 2:
                 continue
-            stricts = [(s * a[0], s * a[1]) for (a, c), s in zip(lines, f.signs)]
-            st_rhs = [s * c for (a, c), s in zip(lines, f.signs)]
+            stricts = [(s * a[0], s * a[1]) for (a, c), s in zip(lines, signs)]
+            st_rhs = [s * c for (a, c), s in zip(lines, signs)]
             stricts += [(1, 0), (-1, 0), (0, 1), (0, -1)]
             st_rhs += [q[0] - tol, -(q[0] + tol), q[1] - tol, -(q[1] + tol)]
             if linprog.interior_point([], [], stricts, st_rhs) is not None:
-                yield f
+                yield signs, rep
 
     def explicit(arr, q, eps=Fraction(1, 10**7), tol=Fraction(1, 10**3)):
         on = [i for i, h in enumerate(arr) if h.residual(q) == 0]
-        old = {tuple(f.signs[i] for i in on) for f in cells_near(arr, q, tol)}
+        old = {tuple(signs[i] for i in on) for signs, _ in cells_near(arr, q, tol)}
         pert = Arrangement(
             arr.dimension,
             tuple(Hyperplane(h.normal, h.offset + eps ** (i + 1), h.weight) for i, h in enumerate(arr)),
         )
-        new = [f for f in cells_near(pert, q, tol) if tuple(f.signs[i] for i in on) not in old]
-        return max((open_regression_depth(pert, f.rep)[0] for f in new), default=None)
+        new = [rep for signs, rep in cells_near(pert, q, tol) if tuple(signs[i] for i in on) not in old]
+        return max((open_regression_depth(pert, rep)[0] for rep in new), default=None)
 
     cases = [
         (arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((1, -1), 0)]), (Fraction(0), Fraction(0))),
@@ -291,6 +292,39 @@ def test_cell_unbounded(tri):
     assert not cell_unbounded(tri, Q_IN)
     assert not cell_unbounded(tri, (0, 0))  # on hyperplanes, not a cell
     assert cell_unbounded(Arrangement(2, ()), (0, 0))
+    # seeded degenerate arrangements (concurrent through the origin, parallel,
+    # scaled duplicates, normals of rank < d) against an exact LP for a
+    # recession direction
+    from arrdepth import linalg, linprog
+
+    rng = random.Random("cell-unbounded")
+    bounded = 0
+    for trial in range(300):
+        d = 1 + trial % 3
+        n = rng.randint(1, d + 4)
+        span = d - 1 if d > 1 and trial % 7 == 0 else d  # coordinates the normals use
+        rows = []
+        while len(rows) < n:
+            if rows and rng.random() < 0.3:
+                a0, b0 = rows[rng.randrange(len(rows))]
+                k = rng.choice((1, 2, -1))
+                rows.append((tuple(k * c for c in a0), k * b0 + rng.choice((0, 1, -2))))
+                continue
+            a = tuple(rng.randint(-2, 2) if i < span else 0 for i in range(d))
+            if any(a):
+                rows.append((a, rng.choice((0, rng.randint(-4, 4)))))
+        arr = arrangement(d, rows)
+        for _ in range(4):
+            q = tuple(Fraction(rng.randint(-8, 8), 2) for _ in range(d))
+            signs = [(r > 0) - (r < 0) for r in (h.residual(q) for h in arr)]
+            if 0 in signs:
+                assert not cell_unbounded(arr, q)
+                continue
+            rays = [linalg.vscale(s, h.normal) for s, h in zip(signs, arr)]
+            expected = linprog.recession_direction(rays) is not None
+            assert cell_unbounded(arr, q) == expected, (rows, q)
+            bounded += not expected
+    assert bounded > 20
 
 
 def test_deepest_point_triangle(tri):
@@ -318,7 +352,7 @@ def test_deepest_point_vertex_path_matches_face_enumeration():
         n = 4 + seed % 3
         arr = generate_instance(seed + 12345, d, n, "generic")
         _, fast_val, _ = deepest_point(arr)
-        full_val = max(regression_depth(arr, rep)[0] for _, rep in enumerate_faces(arr))
+        full_val = max(regression_depth(arr, rep)[0] for _, rep, _ in enumerate_faces(arr))
         assert fast_val == full_val
 
 

@@ -24,6 +24,9 @@ def test_triangle_counts(tri):
     assert len(sub.cells) == 7
     assert sum(1 for c in sub.cells if sub.bounded(c)) == 1
     assert sum(1 for c in sub.cells if not sub.bounded(c)) == 6
+    assert sum(1 for e in sub.edges if sub.bounded(e)) == 3
+    assert sum(1 for e in sub.edges if not sub.bounded(e)) == 6
+    assert all(sub.bounded(v) for v in sub.vertices)
 
 
 def test_parallel_lines_counts():
@@ -58,17 +61,22 @@ def test_euler_relation_randomized():
         assert v - e + f == 2
 
 
-def test_euler_relation_degenerate():
+def test_euler_relation_degenerate(tri):
+    # V - E + F reduces to nv - ne + nc + 1 whatever the box points are, so the
+    # triples are pinned too: the box corners plus the two box points of each line
     cases = [
-        arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)]),  # concurrent
-        arrangement(2, [((1, 0), 0), ((1, 0), 2), ((1, 0), 5)]),  # parallel family
-        arrangement(2, [((1, 0), 0), ((1, 0), 2), ((0, 1), 0), ((1, 1), 2)]),  # mixed
-        arrangement(2, [((1, 0), 0)]),
+        (tri, (13, 19, 8)),
+        (arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)]), (9, 14, 7)),  # concurrent
+        (arrangement(2, [((1, -1), 0), ((1, 1), 0)]), (5, 8, 5)),  # line ends on box corners
+        (arrangement(2, [((1, 0), 0), ((1, 0), 2), ((1, 0), 5)]), (10, 13, 5)),  # parallel family
+        (arrangement(2, [((1, 0), 0), ((1, 0), 2), ((0, 1), 0), ((1, 1), 2)]), (15, 23, 10)),  # mixed
+        (arrangement(2, [((1, 0), 0)]), (6, 7, 3)),
     ]
-    for arr in cases:
+    for arr, expected in cases:
         sub = build_subdivision(arr)
         v, e, f = euler_counts(sub)
         assert v - e + f == 2
+        assert (v, e, f) == expected
 
 
 def test_face_representatives_interior():
