@@ -1,19 +1,22 @@
 """Planar line-arrangement face complexes, depth labeling, regions and SVG maps.
 
 Faces come from `cells.enumerate_faces` and are kept combinatorially (sign
-vectors plus one exact interior representative each). All geometry is one
-exact clip of a bounding box at twice the vertex extent: by every line on
-the face's side, and by both sides of the lines the face lies on. That gives
-a cell's polygon, an edge's segment or a vertex's point. Region topology is
-decided on the combinatorial complex, so clipping never creates artifacts:
-the box only enters the Euler-characteristic bookkeeping, where it is a
-deformation retract of the unbounded complex.
+vectors and their bitmasks plus one exact interior representative each).
+Geometry is read from the face lattice, with nothing clipped: the closure of
+a face inside a bounding box at twice the vertex extent is spanned by the
+candidate corners in it, which are the arrangement vertices, the two box
+points of each line and the four box corners. A point lies in the closure of
+a face iff its sign bitmasks are subsets of the face's. Region topology is
+decided on the combinatorial complex; the box only enters the
+Euler-characteristic bookkeeping, where it is a deformation retract of the
+unbounded complex.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 
-from .cells import enumerate_faces
+from .cells import _angle_cmp, enumerate_faces
 from .depth import open_regression_depth, regression_depth, truncated_regression_depth, MeasureKind
 from .errors import DimensionError
 from .geometry import Arrangement
@@ -31,6 +34,8 @@ class PlanarFace:
     dim: int
     signs: tuple
     rep: tuple
+    pos: int  # bit i set iff signs[i] > 0
+    neg: int  # bit i set iff signs[i] < 0
     degenerate: bool = False  # vertex where more than two distinct lines meet
 
 
@@ -55,14 +60,58 @@ class PlanarSubdivision:
 
     def bounded(self, face):
         xmin, ymin, xmax, ymax = self.bbox
-        return all(xmin < x < xmax and ymin < y < ymax for x, y in cell_polygon(self, face))
+        return all(xmin < x < xmax and ymin < y < ymax for x, y in self.polygons[face.index])
+
+    @cached_property
+    def polygons(self):
+        """Each face's closure within the bounding box, as a tuple indexed like `faces`.
+
+        A face's corners are the candidate points in its closure: a cell lists
+        them counter-clockwise about their mean, starting from the +x direction
+        (`cells._angle_cmp`), an edge gives the two ends of its segment and a
+        vertex its point. Computed on first use and kept with the subdivision.
+        """
+        xmin, ymin, xmax, ymax = self.bbox
+        pts = [f.rep for f in self.vertices] + [p for a, c in self.lines for p in _box_points(self.bbox, a, c)]
+        pts += [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+        # dict.fromkeys drops a box corner that is also a line's box point
+        corners = [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
+        out = []
+        for f in self.faces:
+            if f.dim == 0:
+                out.append((f.rep,))
+                continue
+            poly = [p for p, pos, neg in corners if pos & f.pos == pos and neg & f.neg == neg]
+            if f.dim == 2:  # about k times the corners' mean: rep itself may lie outside the box
+                k, sx, sy = len(poly), sum(p[0] for p in poly), sum(p[1] for p in poly)
+                rel = [((k * p[0] - sx, k * p[1] - sy), p) for p in poly]
+                poly = [p for _, p in sorted(rel, key=cmp_to_key(lambda u, v: _angle_cmp(u[0], v[0])))]
+            out.append(tuple(poly))
+        return tuple(out)
 
 
 def incident(lower, upper):
     """True iff the lower-dimensional face lies in the closure of the other."""
-    if lower.dim >= upper.dim:
-        return False
-    return all(sf == 0 or sf == sg for sf, sg in zip(lower.signs, upper.signs))
+    return lower.dim < upper.dim and lower.pos & upper.pos == lower.pos and lower.neg & upper.neg == lower.neg
+
+
+def _masks(arr, p):
+    """Residual signs of p as (pos, neg) bitmasks."""
+    pos, zero = arr.sign_masks(p)
+    return pos, ((1 << len(arr)) - 1) & ~(pos | zero)
+
+
+def _box_points(bbox, a, c):
+    """The two points where the line a.x = c meets the box boundary, counter-clockwise from (xmin, ymin)."""
+    xmin, ymin, xmax, ymax = bbox
+    pts = {(x, (c - a[0] * x) / a[1]) for x in (xmin, xmax) if a[1]}
+    pts |= {((c - a[1] * y) / a[0], y) for y in (ymin, ymax) if a[0]}
+
+    def side(p):  # bottom, right, top, left: a line meets each side at most once
+        x, y = p
+        return 0 if y == ymin else 1 if x == xmax else 2 if y == ymax else 3
+
+    return sorted((p for p in pts if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax), key=side)
 
 
 def _distinct_lines_of(arr):
@@ -85,7 +134,7 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
     faces = []
     for i, (signs, rep, dim) in enumerate(enumerate_faces(arr)):
         on = {key for key, s in zip(keys, signs) if s == 0}
-        faces.append(PlanarFace(i, dim, signs, rep, dim == 0 and len(on) > 2))
+        faces.append(PlanarFace(i, dim, signs, rep, *_masks(arr, rep), dim == 0 and len(on) > 2))
     # bounding box at twice the extent of vertices and line anchors
     ext = Fraction(1)
     pts = [f.rep for f in faces if f.dim == 0]
@@ -129,75 +178,16 @@ def extract_region(sub: PlanarSubdivision, table: DepthTable, k) -> DepthRegion:
     return DepthRegion(k, table.measure, idx)
 
 
-# ---------------------------------------------------------------------------
-# exact clipping
-
-def _clip_halfplane(poly, a, c, sign):
-    """Intersect a convex polygon with {x : sign * (a.x - c) >= 0}, exactly."""
-    if not poly:
-        return poly
-    out = []
-    n = len(poly)
-    vals = [sign * (a[0] * p[0] + a[1] * p[1] - c) for p in poly]
-    for i in range(n):
-        p, vp = poly[i], vals[i]
-        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
-        if vp >= 0:
-            out.append(p)
-        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    dedup = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _box_clip(sub: PlanarSubdivision, halfplanes):
-    """The bounding box clipped by (a, c, sign) half-planes, as an exact convex point list."""
-    xmin, ymin, xmax, ymax = sub.bbox
-    poly = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    for a, c, sign in halfplanes:
-        poly = _clip_halfplane(poly, a, c, sign)
-    return poly
-
-
-def _line_segment(sub: PlanarSubdivision, a, c) -> list:
-    """The line a.x = c clipped to the bounding box: its two ends on the box."""
-    return _box_clip(sub, [(a, c, 1), (a, c, -1)])
-
-
 def cell_polygon(sub: PlanarSubdivision, face) -> list:
-    """The face clipped to the bounding box, exactly.
-
-    A cell gives a convex polygon, an edge the two ends of its segment and a
-    vertex its point: the box is clipped by every line on the face's side,
-    and by both sides of each line the face lies on. Those lines go first,
-    so the other clips act on a segment or a point.
-    """
-    rep = face.rep
-    on, off = [], []
-    for a, c in sub.lines:
-        v = a[0] * rep[0] + a[1] * rep[1] - c
-        if v == 0:
-            on += [(a, c, 1), (a, c, -1)]
-        else:
-            off.append((a, c, 1 if v > 0 else -1))
-    return _box_clip(sub, on + off)
+    """The face's closure within the bounding box: a cell's polygon, an edge's segment or a vertex's point."""
+    return list(sub.polygons[face.index])
 
 
 def euler_counts(sub: PlanarSubdivision):
-    """V, E, F of the box-clipped complex; V - E + F = 2 certifies consistency."""
-    xmin, ymin, xmax, ymax = sub.bbox
-    boundary_pts = {(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)}
-    for a, c in sub.lines:
-        boundary_pts.update(_line_segment(sub, a, c))
-    V = len(sub.vertices) + len(boundary_pts)
-    # the boundary cycle has one edge per consecutive pair of boundary points
-    E = len(sub.edges) + len(boundary_pts)
+    """V, E, F of the complex within the bounding box; V - E + F = 2 certifies consistency."""
+    V = len({p for poly in sub.polygons for p in poly})
+    # the boundary cycle has one edge per consecutive pair of box points
+    E = len(sub.edges) + V - len(sub.vertices)
     F = len(sub.cells) + 1  # outer face
     return V, E, F
 
@@ -219,17 +209,15 @@ def check_contractible(sub: PlanarSubdivision, region: DepthRegion) -> Contracti
     For compact planar complexes vanishing first homology implies simple
     connectivity, so this combinatorial certificate is exact.
     """
-    faces = [f for f in sub.faces if f.index in region.face_indices]
+    in_region = region.face_indices
+    faces = [f for f in sub.faces if f.index in in_region]
     if not faces:
         return ContractibilityReport("empty", False)
-    in_region = region.face_indices
+    higher = [[g for g in faces if g.dim > d] for d in range(3)]  # the faces that f.dim = d may bound
     # closure check: every face bounding a region face must itself be in the region
     for f in sub.faces:
-        if f.index in in_region:
-            continue
-        for g in faces:
-            if incident(f, g):
-                return ContractibilityReport("not-closed", False)
+        if f.index not in in_region and any(incident(f, g) for g in higher[f.dim]):
+            return ContractibilityReport("not-closed", False)
 
     # connectivity via incidence chains
     parent = {f.index: f.index for f in faces}
@@ -240,22 +228,17 @@ def check_contractible(sub: PlanarSubdivision, region: DepthRegion) -> Contracti
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for f in faces:
-        for g in faces:
-            if f.dim < g.dim and incident(f, g):
-                union(f.index, g.index)
+        for g in higher[f.dim]:
+            if incident(f, g):
+                parent[find(f.index)] = find(g.index)
     components = len({find(f.index) for f in faces})
 
-    # Euler characteristic of the clipped region
+    # Euler characteristic of the region within the box
     vset = set()
     eset = set()
     for f in faces:
-        poly = cell_polygon(sub, f)
+        poly = sub.polygons[f.index]
         vset.update(poly)
         if f.dim > 0:  # a segment's two sides are one edge
             eset.update(tuple(sorted((p, poly[i - 1]))) for i, p in enumerate(poly))
@@ -298,9 +281,14 @@ def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=100
     xmin, ymin, xmax, ymax = sub.bbox
     sx = Fraction(size) / (xmax - xmin)
     sy = Fraction(size) / (ymax - ymin)
+    screen = {}
 
     def tx(p):
-        return (sx * (p[0] - xmin), Fraction(size) - sy * (p[1] - ymin))
+        """p's formatted screen coordinates, transformed once per distinct point."""
+        xy = screen.get(p)
+        if xy is None:
+            xy = screen[p] = (_fmt(sx * (p[0] - xmin)), _fmt(size - sy * (p[1] - ymin)))
+        return xy
 
     values = [table.values[f.index] for f in sub.faces]
     vmax = max(values) if values else Fraction(0)
@@ -314,26 +302,26 @@ def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=100
     for f in sub.cells:
         if not f.signs:
             continue  # empty arrangement: background stands for the single cell
-        poly = cell_polygon(sub, f)
+        poly = sub.polygons[f.index]
         if len(poly) < 3:
             continue
-        pts = " ".join(f"{_fmt(tx(p)[0])},{_fmt(tx(p)[1])}" for p in poly)
+        pts = " ".join(f"{x},{y}" for x, y in map(tx, poly))
         out.append(f'<polygon points="{pts}" fill="{_ramp(table.values[f.index], vmax)}" stroke="none"/>')
     out.append("</g>")
     out.append('<g id="lines" stroke="#222222" stroke-width="1.5">')
     for a, c in sub.lines:
-        a1, a2 = (tx(p) for p in _line_segment(sub, a, c))
-        out.append(f'<line x1="{_fmt(a1[0])}" y1="{_fmt(a1[1])}" x2="{_fmt(a2[0])}" y2="{_fmt(a2[1])}"/>')
+        (x1, y1), (x2, y2) = map(tx, _box_points(sub.bbox, a, c))
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     out.append("</g>")
     out.append('<g id="vertices" fill="#000000">')
     for f in sub.vertices:
-        p = tx(f.rep)
-        out.append(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="3"/>')
+        x, y = tx(f.rep)
+        out.append(f'<circle cx="{x}" cy="{y}" r="3"/>')
     out.append("</g>")
     if deepest is not None:
-        p = tx(deepest)
+        x, y = tx(deepest)
         out.append(
-            f'<g id="deepest"><circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="7" '
+            f'<g id="deepest"><circle cx="{x}" cy="{y}" r="7" '
             f'fill="none" stroke="#d62728" stroke-width="2.5"/></g>'
         )
     out.append('<g id="legend" font-family="monospace" font-size="14">')

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_cells import _degenerate
 
 from arrdepth.depth import MeasureKind, deepest_point, open_regression_depth, regression_depth, truncated_regression_depth
 from arrdepth.errors import DimensionError
 from arrdepth.geometry import Arrangement, arrangement, generate_instance
 from arrdepth.planar import (
+    PlanarSubdivision,
+    _box_points,
     build_subdivision,
     cell_polygon,
     check_contractible,
@@ -240,3 +243,116 @@ def test_svg_empty_arrangement():
     svg = render_svg(sub, table)
     assert svg.count("<polygon") == 0
     assert 'id="legend"' in svg
+
+
+# ---------------------------------------------------------------------------
+# the box clip, kept as the oracle for the polygons read from the face lattice
+
+def _clip_halfplane(poly, a, c, sign):
+    """Intersect a convex polygon with {x : sign * (a.x - c) >= 0}, exactly."""
+    if not poly:
+        return poly
+    out = []
+    n = len(poly)
+    vals = [sign * (a[0] * p[0] + a[1] * p[1] - c) for p in poly]
+    for i in range(n):
+        p, vp = poly[i], vals[i]
+        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
+        if vp >= 0:
+            out.append(p)
+        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    dedup = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def _box_clip(sub, halfplanes):
+    """The bounding box clipped by (a, c, sign) half-planes, as an exact counter-clockwise point list."""
+    xmin, ymin, xmax, ymax = sub.bbox
+    poly = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    for a, c, sign in halfplanes:
+        poly = _clip_halfplane(poly, a, c, sign)
+    return poly
+
+
+def _clipped_face(sub, face):
+    """The box clipped by every line on the face's side and by both sides of each line it lies on."""
+    on, off = [], []
+    for a, c in sub.lines:
+        v = a[0] * face.rep[0] + a[1] * face.rep[1] - c
+        if v == 0:
+            on += [(a, c, 1), (a, c, -1)]
+        else:
+            off.append((a, c, 1 if v > 0 else -1))
+    return _box_clip(sub, on + off)
+
+
+def _cyclic_equal(p, q):
+    return len(p) == len(q) and any(p[i:] + p[:i] == q for i in range(len(p)))
+
+
+def _polygon_cases():
+    # 204 seeded arrangements with n up to 12, then the hand cases. The clip costs about
+    # n^3 per arrangement, so half of each kind run at n <= 6.
+    sizes = [1 + i % 12 for i in range(36)] + [1 + i % 6 for i in range(36)]
+    generic = [generate_instance(500 + seed, 2, n, "generic") for seed, n in enumerate(sizes)]
+    sizes = [2 + i % 11 for i in range(66)] + [2 + i % 5 for i in range(66)]
+    degenerate = [_degenerate(9000 + seed, 2, n) for seed, n in enumerate(sizes)]
+    hand = [
+        arrangement(2, [((1, -1), 0), ((1, 1), 3)]),  # x = y runs through two box corners
+        arrangement(2, [((1, -1), 0), ((1, 1), 0), ((0, 1), 1)]),  # both diagonals through the corners
+        arrangement(2, [((1, 0), 0), ((1, 0), 2), ((1, 0), -5), ((2, 0), 4)]),  # parallel family, a duplicate
+        arrangement(2, [((1, 2), 3)]),  # a single line
+        Arrangement(2, ()),  # the empty arrangement
+    ]
+    return generic + degenerate + hand
+
+
+def test_polygons_match_box_clip_oracle():
+    for arr in _polygon_cases():
+        sub = build_subdivision(arr)
+        for a, c in sub.lines:  # the SVG's line endpoints keep the clip's order
+            assert _box_points(sub.bbox, a, c) == _box_clip(sub, [(a, c, 1), (a, c, -1)])
+        for f in sub.faces:
+            poly, clip = cell_polygon(sub, f), _clipped_face(sub, f)
+            if f.dim < 2:
+                assert set(poly) == set(clip) and len(poly) == len(clip) == f.dim + 1, (arr, f)
+                continue
+            assert _cyclic_equal(poly, clip), (arr, f)
+            x, y = sum(p[0] for p in poly) / len(poly), sum(p[1] for p in poly) / len(poly)
+            rel = [(px - x, py - y) for px, py in poly]
+            turns = [u[0] * v[1] - u[1] * v[0] for u, v in zip(rel, rel[1:] + rel[:1])]
+            assert all(t > 0 for t in turns)  # counter-clockwise about the mean: positive signed area
+            # the first corner is the first one counter-clockwise from the +x direction
+            (ux, uy), (vx, vy) = rel[-1], rel[0]
+            assert uy < 0 and (vy > 0 or (vy == 0 and vx > 0)), (arr, f)
+
+
+def test_polygons_built_once_per_subdivision(monkeypatch):
+    calls = []
+    real = PlanarSubdivision.polygons.func
+
+    def counting(sub):
+        calls.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(PlanarSubdivision.polygons, "func", counting)
+    arr = generate_instance(5, 2, 7, "generic")
+    sub = build_subdivision(arr)
+    table = label_depth(sub, arr, MeasureKind.RD)
+    render_svg(sub, table)
+    v, e, f = euler_counts(sub)
+    assert v - e + f == 2
+    assert sum(sub.bounded(c) for c in sub.cells) == 15  # C(n - 1, 2) bounded cells
+    for k in range(1, 4):
+        check_contractible(sub, extract_region(sub, table, k))
+    assert calls == [sub]
+    other = build_subdivision(arr)
+    euler_counts(other)
+    assert calls == [sub, other]  # kept with each subdivision, not in a module-global cache
