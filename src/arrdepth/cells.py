@@ -12,16 +12,20 @@ Two related tasks live here:
 
 One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986). The
 faces on a hyperplane H are the faces of its trace arrangement {H' cap H},
-enumerated in d-1 coordinates of H and lifted back; the cells are reached by
-nudging each facet representative to both sides of H. The recursion bottoms
-out at d = 0, a point, so the planar complex is one case of it. A central
-arrangement in d >= 3 is read off its two affine slices u_d = +-1, which
-every open cell meets.
+enumerated in d-1 coordinates of H and lifted back, with their signs read
+from the trace signs; the cells are reached by nudging each facet
+representative to both sides of H. The recursion bottoms out at d = 0, a
+point, so the planar complex is one case of it. It runs on Python ints: a
+representative is an integer point (nums, den) standing for nums / den, and
+the nudged points' signs come from the facet's integer residuals, so nothing
+is evaluated twice. Representatives become `Fraction` tuples only on the way
+out. A central arrangement in d >= 3 is read off its two affine slices
+u_d = +-1, which every open cell meets.
 """
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from itertools import combinations
 from operator import mul
 
@@ -109,76 +113,102 @@ def _direction_cells_2d(lines):
 
 
 def _direction_cells_sliced(lines, d):
-    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign key."""
-    central = [(a, 0) for a in lines]
+    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign key, as integer vectors."""
     reps = []
     seen = set()
     for z in (1, -1):
         # a.u = 0 meets {u_d = z} in the hyperplane a' . u' = -a_d z of the slice
         slice_hs = [(a[:-1], -a[-1] * z) for a in lines if any(a[:-1])]
-        for _, rep, dim in _faces(slice_hs, d - 1):
+        for _, (nums, den), dim in _faces(slice_hs, d - 1):
             if dim != d - 1:
                 continue
-            u = rep + (Fraction(z),)
-            key = _signs(central, u)
+            u = nums + (z * den,)
+            key = tuple(_sign(sum(map(mul, a, u))) for a in lines)
             if key not in seen:
                 seen.add(key)
                 reps.append(u)
     return reps
 
 
-def _residuals(hyperplanes, p):
-    """(den, [den * (a.p - c)]): the residuals of a rational point as integers, den > 0."""
-    den = reduce(math.lcm, (x.denominator for x in p), 1)
-    num = [x.numerator * (den // x.denominator) for x in p]
-    return den, [sum(map(mul, a, num)) - c * den for a, c in hyperplanes]
+def _sign(v):
+    return (v > 0) - (v < 0)
 
 
-def _signs(hyperplanes, p):
-    """Sign vector of a rational point against integer hyperplanes."""
-    return tuple((s > 0) - (s < 0) for s in _residuals(hyperplanes, p)[1])
+def _lowest(nums, den):
+    """The integer point (nums, den) in lowest terms with den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(v // g for v in nums), den // g
 
 
 def _faces(hyperplanes, d):
     """Every face of the arrangement {x : a.x = c} in R^d as (signs, rep, dim).
 
     ``hyperplanes`` are (normal, offset) pairs of ints with nonzero normals.
+    ``rep`` is an integer point (nums, den), den > 0 and in lowest terms,
+    standing for nums / den; it lies in the relative interior of its face.
     Lower faces come first, by dimension, then the cells; every sign vector
-    occurs once and ``rep`` lies in the relative interior of its face.
+    occurs once.
     """
     if not hyperplanes:
-        return [((), (Fraction(0),) * d, d)]
+        return [((), ((0,) * d, 1), d)]
     found = {}  # sign vector -> (rep, dim), in order of discovery
     for a, c in hyperplanes:
         # Trace on a.x = c: eliminate x_k, the first coordinate with a_k != 0.
+        # On a.x = c, a_k (a2.x - c2) is a positive multiple of the residual of
+        # a2's trace row, so a lifted face's signs are its trace signs times
+        # sign(a_k). A row with zero normal (a2 parallel to a, or a itself)
+        # has the constant residual -(its offset) there and is dropped.
         k = next(i for i, v in enumerate(a) if v != 0)
-        rest = a[:k] + a[k + 1 :]
-        trace = []
+        ak, rest = a[k], a[:k] + a[k + 1 :]
+        trace, pick, consts = [], [], []
         for a2, c2 in hyperplanes:
-            row = linalg.integer_vector([a[k] * v - a2[k] * w for v, w in zip(a2 + (c2,), a + (c,))])
-            if any(row[:-1]):  # a zero row is parallel to a.x = c (or it): constant sign there
+            b = a2[k]
+            normal = [ak * v - b * w for v, w in zip(a2, a)]
+            off = ak * c2 - b * c
+            if any(normal):
+                row = linalg.integer_vector(normal + [off])
+                pick.append(len(trace))
                 trace.append((row[:k] + row[k + 1 : -1], row[-1]))
-        for _, y, dim in _faces(trace, d - 1):
-            xk = Fraction(c - sum(map(mul, rest, y))) / a[k]
-            x = y[:k] + (xk,) + y[k:]
-            found.setdefault(_signs(hyperplanes, x), (x, dim))
+            else:
+                pick.append(-1 - len(consts))
+                consts.append(_sign(-off))
+        tail = tuple(reversed(consts))  # index -1 - m of (trace signs + tail) is consts[m]
+        for ts, (ny, dy), dim in _faces(trace, d - 1):
+            ext = ts + tail
+            if ak < 0:
+                ext = tuple(-s for s in ext)
+            signs = tuple(map(ext.__getitem__, pick))
+            if signs in found:  # found before on another hyperplane through it
+                continue
+            # x_k = (c - rest.y) / a_k, over the common denominator a_k dy
+            nx = (*(ak * v for v in ny[:k]), c * dy - sum(map(mul, rest, ny)), *(ak * v for v in ny[k:]))
+            found[signs] = (_lowest(nx, ak * dy), dim)
     faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
+    gram = [[sum(map(mul, a, a2)) for a2, _ in hyperplanes] for a, _ in hyperplanes]
     cells = {}
-    for signs, p, dim in faces:
+    for signs, (num, den), dim in faces:
         if dim != d - 1:
             continue
-        # Nudge the facet off its hyperplane by half the nearest crossing distance.
-        a = hyperplanes[signs.index(0)][0]
-        den, res = _residuals(hyperplanes, p)
-        dists = []
-        for (aj, _), s in zip(hyperplanes, res):
-            cross = sum(map(mul, aj, a))
-            if cross != 0 and s != 0:
-                dists.append(Fraction(abs(s), abs(cross)))
-        step = min(dists) / (2 * den) if dists else Fraction(1)
-        for sgn in (step, -step):
-            q = tuple(v + sgn * w for v, w in zip(p, a))
-            cells.setdefault(_signs(hyperplanes, q), q)
+        # Nudge the facet p = num / den off its hyperplane a.x = c to both sides by
+        # half the nearest crossing step S / (C den), where S / C = min |s_j| / |a_j.a|
+        # over the integer residuals s_j = den (a_j.p - c_j) with a_j.a != 0: to
+        # (2C num +- S a) / (2C den), where the residuals are (2C s_j +- S a_j.a) / (2C den).
+        # With no crossing, the step is 1: p +- a.
+        i = signs.index(0)
+        a, cross = hyperplanes[i][0], gram[i]
+        res = [sum(map(mul, aj, num)) - cj * den for aj, cj in hyperplanes]
+        S = C = 0
+        for s, x in zip(res, cross):
+            if s and x and (not C or abs(s) * C < S * abs(x)):
+                S, C = abs(s), abs(x)
+        if not C:
+            S, C = 2 * den, 1
+        for t in (S, -S):
+            key = tuple((v > 0) - (v < 0) for v in [2 * C * s + t * x for s, x in zip(res, cross)])
+            if key not in cells:
+                cells[key] = _lowest(tuple(2 * C * v + t * w for v, w in zip(num, a)), 2 * C * den)
     return faces + [(s, q, d) for s, q in cells.items()]
 
 
@@ -188,7 +218,8 @@ def enumerate_faces(arr):
     Exact and LP-free: `_faces` recurses on hyperplane traces down to a
     point. Lower faces come first, by dimension, then the cells.
     """
-    return _faces(arr.int_rows, arr.dimension)
+    faces = _faces(arr.int_rows, arr.dimension)
+    return [(s, tuple(Fraction(v, den) for v in nums), dim) for s, (nums, den), dim in faces]
 
 
 def candidate_points(arr):

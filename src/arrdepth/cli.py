@@ -15,12 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import axioms as axioms_mod
-from . import depth as depth_mod
-from . import enclosing as enclosing_mod
-from . import planar as planar_mod
-from . import transversal as transversal_mod
-from . import tverberg as tverberg_mod
 from .errors import ArrDepthError, ExactBudgetExceeded, PrecisionExceeded
 from .geometry import dump_json, evaluate, frac, frac_str, generate_instance, load_json
 
@@ -178,14 +172,16 @@ def cross_check(arr, q):
 
 
 def _cmd_depth(args):
+    from .depth import directional_count, open_regression_depth, regression_depth, truncated_regression_depth
+
     arr = _load(args.file)
     q = _parse_point(args.query)
     if args.measure == "rd":
-        value, cert = depth_mod.regression_depth(arr, q)
+        value, cert = regression_depth(arr, q)
     elif args.measure == "rd-open":
-        value, cert = depth_mod.open_regression_depth(arr, q)
+        value, cert = open_regression_depth(arr, q)
     else:
-        value = depth_mod.truncated_regression_depth(arr, q)
+        value = truncated_regression_depth(arr, q)
         cert = None
     outputs = {"measure": args.measure, "value": _rat(value), "query": _point_out(q)}
     verification = {}
@@ -193,35 +189,39 @@ def _cmd_depth(args):
         outputs["witness"] = _point_out(cert.direction)
         if cert.rule != "open-perturbed":
             rule = "closed" if cert.rule == "closed" else "open"
-            verification["witness_reproduces"] = (
-                depth_mod.directional_count(arr, q, cert.direction, rule) == cert.count
-            )
+            verification["witness_reproduces"] = directional_count(arr, q, cert.direction, rule) == cert.count
     return 0, outputs, verification
 
 
 def _cmd_deepest(args):
+    from .depth import deepest_point, directional_count
+
     arr = _load(args.file)
-    pt, value, cert = depth_mod.deepest_point(arr)
+    pt, value, cert = deepest_point(arr)
     outputs = {"point": _point_out(pt), "value": _rat(value), "witness": _point_out(cert.direction)}
-    verification = {"witness_reproduces": depth_mod.directional_count(arr, pt, cert.direction) == cert.count}
+    verification = {"witness_reproduces": directional_count(arr, pt, cert.direction) == cert.count}
     return 0, outputs, verification
 
 
 def _cmd_htvd(args):
+    from .tverberg import hyperplane_tverberg_depth
+
     arr = _load(args.file)
     q = _parse_point(args.query)
     try:
-        value = tverberg_mod.hyperplane_tverberg_depth(arr, q, exact_threshold=args.exact_threshold)
+        value = hyperplane_tverberg_depth(arr, q, exact_threshold=args.exact_threshold)
         return 0, {"value": value, "exact": True}, {}
     except ExactBudgetExceeded as exc:
         return 3, {"value": exc.bound, "exact": False, "bound": True}, {}
 
 
 def _cmd_hed(args):
+    from .enclosing import hyperplane_enclosing_depth, verify_enclosure
+
     arr = _load(args.file)
     q = _parse_point(args.query)
     try:
-        value, cert = enclosing_mod.hyperplane_enclosing_depth(
+        value, cert = hyperplane_enclosing_depth(
             arr, q, strict=args.strict, exact_threshold=args.exact_threshold
         )
     except ExactBudgetExceeded as exc:
@@ -230,26 +230,30 @@ def _cmd_hed(args):
     verification = {}
     if cert is not None:
         outputs["groups"] = [list(g) for g in cert.groups]
-        verification["certificate_verifies"] = enclosing_mod.verify_enclosure(arr, cert, strict=args.strict)
+        verification["certificate_verifies"] = verify_enclosure(arr, cert, strict=args.strict)
     return 0, outputs, verification
 
 
 def _cmd_hed_verify(args):
+    from .enclosing import EnclosureCertificate, verify_enclosure
+
     arr = _load(args.file)
     with open(args.cert) as fh:
         data = json.load(fh)
-    cert = enclosing_mod.EnclosureCertificate(
+    cert = EnclosureCertificate(
         int(data["k"]),
         tuple(tuple(int(i) for i in g) for g in data["groups"]),
         tuple(frac(c) for c in data["query"]),
     )
-    ok = enclosing_mod.verify_enclosure(arr, cert, strict=bool(data.get("strict", False)))
+    ok = verify_enclosure(arr, cert, strict=bool(data.get("strict", False)))
     return (0 if ok else 2), {"verified": ok, "k": cert.k}, {}
 
 
 def _cmd_tverberg(args):
+    from .tverberg import solve_tverberg
+
     arr = _load(args.file)
-    cert = tverberg_mod.solve_tverberg(arr, args.r, seed=args.seed)
+    cert = solve_tverberg(arr, args.r, seed=args.seed)
     if cert is None:
         return 2, {"parts": None, "q": None, "verified": False}, {}
     outputs = {
@@ -262,16 +266,19 @@ def _cmd_tverberg(args):
 
 
 def _cmd_depthmap(args):
+    from .depth import deepest_point
+    from .planar import build_subdivision, euler_counts, label_depth, render_svg
+
     arr = _load(args.file)
-    sub = planar_mod.build_subdivision(arr)
-    table = planar_mod.label_depth(sub, arr, args.measure)
+    sub = build_subdivision(arr)
+    table = label_depth(sub, arr, args.measure)
     deepest = None
     if args.deepest and len(arr):
-        deepest, _, _ = depth_mod.deepest_point(arr)
-    svg = planar_mod.render_svg(sub, table, deepest=deepest)
+        deepest, _, _ = deepest_point(arr)
+    svg = render_svg(sub, table, deepest=deepest)
     with open(args.out, "w") as fh:
         fh.write(svg)
-    v, e, f = planar_mod.euler_counts(sub)
+    v, e, f = euler_counts(sub)
     outputs = {
         "out": args.out,
         "svg_sha256": hashlib.sha256(svg.encode()).hexdigest(),
@@ -282,9 +289,11 @@ def _cmd_depthmap(args):
 
 
 def _cmd_transversal(args):
+    from .transversal import solve_planar_transversal
+
     a1 = _load(args.file1)
     a2 = _load(args.file2)
-    sol = transversal_mod.solve_planar_transversal(a1, a2)
+    sol = solve_planar_transversal(a1, a2)
     outputs = {
         "direction": _point_out(sol.direction),
         "t": _rat(sol.t),
@@ -305,6 +314,8 @@ def _cmd_transversal(args):
 
 
 def _cmd_oracle(args):
+    from .depth import oracle_depth, regression_depth
+
     agree = 0
     mismatches = []
     failures = []
@@ -312,8 +323,8 @@ def _cmd_oracle(args):
         arr = generate_instance(args.seed + t, args.d, args.n, "generic")
         rng = random.Random(f"arrdepth-oracle-cli:{args.seed}:{t}")
         q = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(args.d))
-        engine, _ = depth_mod.regression_depth(arr, q)
-        oracle = depth_mod.oracle_depth(arr, q, samples=args.samples, seed=args.seed + t)
+        engine, _ = regression_depth(arr, q)
+        oracle = oracle_depth(arr, q, samples=args.samples, seed=args.seed + t)
         if engine == oracle:
             agree += 1
         else:
@@ -338,9 +349,11 @@ def _cmd_gen(args):
 
 
 def _cmd_axioms(args):
+    from .axioms import check_axioms
+
     arr = _load(args.file)
     q = _parse_point(args.query)
-    report = axioms_mod.check_axioms(args.kind, arr, q, trials=args.trials, seed=args.seed)
+    report = check_axioms(args.kind, arr, q, trials=args.trials, seed=args.seed)
     outputs = {
         "kind": args.kind,
         "axioms": {

@@ -102,6 +102,9 @@ def kernel_vector(matrix, ncols=None):
 
 def integer_vector(v):
     """v scaled by a positive rational to coprime integers (zero stays zero)."""
+    if all(type(c) is int for c in v):  # integers already: divide by the gcd alone
+        g = math.gcd(*v)
+        return tuple(c // g for c in v) if g > 1 else tuple(v)
     v = [Fraction(c) for c in v]
     scale = reduce(math.lcm, (c.denominator for c in v), 1)
     ints = [c.numerator * (scale // c.denominator) for c in v]

@@ -101,6 +101,17 @@ def _masks(arr, p):
     return pos, ((1 << len(arr)) - 1) & ~(pos | zero)
 
 
+def _sign_bits(signs):
+    """A sign vector as (pos, neg) bitmasks."""
+    pos = neg = 0
+    for i, s in enumerate(signs):
+        if s > 0:
+            pos |= 1 << i
+        elif s < 0:
+            neg |= 1 << i
+    return pos, neg
+
+
 def _box_points(bbox, a, c):
     """The two points where the line a.x = c meets the box boundary, counter-clockwise from (xmin, ymin)."""
     xmin, ymin, xmax, ymax = bbox
@@ -134,7 +145,7 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
     faces = []
     for i, (signs, rep, dim) in enumerate(enumerate_faces(arr)):
         on = {key for key, s in zip(keys, signs) if s == 0}
-        faces.append(PlanarFace(i, dim, signs, rep, *_masks(arr, rep), dim == 0 and len(on) > 2))
+        faces.append(PlanarFace(i, dim, signs, rep, *_sign_bits(signs), dim == 0 and len(on) > 2))
     # bounding box at twice the extent of vertices and line anchors
     ext = Fraction(1)
     pts = [f.rep for f in faces if f.dim == 0]

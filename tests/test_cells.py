@@ -1,4 +1,4 @@
-"""Cell and face enumeration against an independent LP oracle and closed forms.
+"""Cell and face enumeration against independent oracles and closed forms.
 
 `_lp_faces` builds the faces of an affine arrangement one hyperplane at a
 time: each sign vector is extended by every sign whose face is nonempty, as
@@ -6,14 +6,23 @@ decided by an exact LP (`linprog.interior_point`). It shares no code with the
 trace recursion in `cells._faces` and is slow, so it runs on small seeded
 degenerate arrangements: parallel, concurrent and scaled-duplicate
 hyperplanes.
+
+`_fraction_faces` is the trace recursion on `Fraction` points, which the
+integer recursion in `cells._faces` replaced: every lifted face's signs are
+evaluated from its point, and every nudged point is built and evaluated
+again. `enumerate_faces` and `direction_cells` must return exactly its lists,
+representatives and order included.
 """
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 from arrdepth import linalg, linprog
-from arrdepth.cells import _distinct_lines, direction_cells, enumerate_faces, normalize_ray
+from arrdepth.cells import _distinct_lines, _faces, direction_cells, enumerate_faces, normalize_ray
 from arrdepth.depth import deepest_point, regression_depth
 from arrdepth.geometry import Arrangement, generate_instance, hyperplane
 
@@ -70,6 +79,98 @@ def _degenerate(seed, d, n):
             b = Fraction(rng.randint(-5, 5))
         rows.append((a, b))
     return Arrangement(d, tuple(hyperplane(a, b) for a, b in rows))
+
+
+def _fraction_residuals(hyperplanes, p):
+    """(den, [den * (a.p - c)]): the residuals of a rational point as integers, den > 0."""
+    den = reduce(math.lcm, (x.denominator for x in p), 1)
+    num = [x.numerator * (den // x.denominator) for x in p]
+    return den, [sum(map(mul, a, num)) - c * den for a, c in hyperplanes]
+
+
+def _fraction_signs(hyperplanes, p):
+    return tuple((s > 0) - (s < 0) for s in _fraction_residuals(hyperplanes, p)[1])
+
+
+def _fraction_faces(hyperplanes, d):
+    """(signs, Fraction rep, dim) of every face, by the trace recursion on Fraction points."""
+    if not hyperplanes:
+        return [((), (Fraction(0),) * d, d)]
+    found = {}
+    for a, c in hyperplanes:
+        k = next(i for i, v in enumerate(a) if v != 0)
+        rest = a[:k] + a[k + 1 :]
+        trace = []
+        for a2, c2 in hyperplanes:
+            row = linalg.integer_vector([a[k] * v - a2[k] * w for v, w in zip(a2 + (c2,), a + (c,))])
+            if any(row[:-1]):
+                trace.append((row[:k] + row[k + 1 : -1], row[-1]))
+        for _, y, dim in _fraction_faces(trace, d - 1):
+            xk = Fraction(c - sum(map(mul, rest, y))) / a[k]
+            x = y[:k] + (xk,) + y[k:]
+            found.setdefault(_fraction_signs(hyperplanes, x), (x, dim))
+    faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
+    cells = {}
+    for signs, p, dim in faces:
+        if dim != d - 1:
+            continue
+        a = hyperplanes[signs.index(0)][0]
+        den, res = _fraction_residuals(hyperplanes, p)
+        crosses = [sum(map(mul, aj, a)) for aj, _ in hyperplanes]
+        dists = [Fraction(abs(s), abs(x)) for s, x in zip(res, crosses) if s != 0 and x != 0]
+        step = min(dists) / (2 * den) if dists else Fraction(1)
+        for sgn in (step, -step):
+            q = tuple(v + sgn * w for v, w in zip(p, a))
+            cells.setdefault(_fraction_signs(hyperplanes, q), q)
+    return faces + [(s, q, d) for s, q in cells.items()]
+
+
+def _fraction_direction_cells(normals, d):
+    """Direction cells at d >= 3 from the two slices u_d = +-1 of `_fraction_faces`."""
+    lines = _distinct_lines(normals)
+    central = [(a, 0) for a in lines]
+    reps, seen = [], set()
+    for z in (1, -1):
+        slice_hs = [(a[:-1], -a[-1] * z) for a in lines if any(a[:-1])]
+        for _, rep, dim in _fraction_faces(slice_hs, d - 1):
+            u = rep + (Fraction(z),)
+            key = _fraction_signs(central, u)
+            if dim == d - 1 and key not in seen:
+                seen.add(key)
+                reps.append(u)
+    return [normalize_ray(u) for u in reps]
+
+
+def _rank_deficient(seed, d, n):
+    """Normals that span only a proper subspace of R^d, some of them parallel."""
+    rng = random.Random(f"cells:rank:{seed}:{d}:{n}")
+    rank = rng.randint(1, d - 1)
+    basis = []
+    while len(basis) < rank:
+        b = tuple(rng.randint(-2, 2) for _ in range(d))
+        if any(b):
+            basis.append(b)
+    rows = []
+    while len(rows) < n:
+        coefs = [rng.randint(-2, 2) for _ in basis]
+        a = tuple(sum(k * b[i] for k, b in zip(coefs, basis)) for i in range(d))
+        if any(a):
+            rows.append((a, rng.randint(-4, 4)))
+    return Arrangement(d, tuple(hyperplane(a, b) for a, b in rows))
+
+
+def _parity_cases():
+    """320 seeded arrangements, d = 1..4: generic, degenerate and rank-deficient."""
+    sizes = {1: (2, 3, 5, 8), 2: (2, 4, 6, 9), 3: (3, 4, 5, 6), 4: (3, 4, 4, 5)}
+    for d, ns in sizes.items():
+        for i in range(80):
+            n = ns[i % 4]
+            if i < 16:
+                yield generate_instance(300 + i, d, n, "generic")
+            elif i < 56 or d == 1:
+                yield _degenerate(1000 + i, d, n)
+            else:
+                yield _rank_deficient(i, d, n)
 
 
 def _assert_faces_valid(arr, faces):
@@ -189,3 +290,17 @@ def test_deepest_point_degenerate_dimension_four():
 def test_normalize_ray():
     assert normalize_ray((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
     assert normalize_ray((-2, 4)) == (-1, 2)  # scaling only, never flips direction
+
+
+def test_integer_faces_match_fraction_recursion():
+    cases = list(_parity_cases())
+    assert len(cases) >= 300
+    for arr in cases:
+        d = arr.dimension
+        assert enumerate_faces(arr) == _fraction_faces(arr.int_rows, d), arr
+        for _, (nums, den), _ in _faces(arr.int_rows, d):  # the recursion itself runs on ints
+            assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+            assert math.gcd(den, *nums) == 1
+        if d >= 3:  # d <= 2 direction cells come from an angular sort, not the recursion
+            normals = [h.normal for h in arr]
+            assert direction_cells(normals, d) == _fraction_direction_cells(normals, d), arr

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import arrdepth
 from arrdepth.cli import cross_check, run
 from arrdepth.geometry import dump_json, generate_instance, triangle
 
@@ -79,6 +83,28 @@ def test_depthmap_svg(tri_file, tmp_path):
     assert rep["verification"]["euler_ok"] is True
     data = out.read_text()
     assert data.startswith("<svg") and data.count("<polygon") == 7
+
+
+def test_depthmap_process_skips_unused_modules(tmp_path):
+    # a fresh interpreter: this test process has imported every module already
+    path = tmp_path / "eleven.json"
+    path.write_text(dump_json(generate_instance(3, 2, 11, "generic")))
+    script = (
+        "import json, sys\n"
+        "from arrdepth import cli\n"
+        f"code, _ = cli.run(['depthmap', '--deepest', '--out', {str(tmp_path / 'map.svg')!r}, {str(path)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('arrdepth'))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arrdepth.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert "arrdepth.planar" in modules and "arrdepth.depth" in modules
+    unused = {"arrdepth.axioms", "arrdepth.enclosing", "arrdepth.tverberg", "arrdepth.transversal", "arrdepth.linprog"}
+    assert not unused & set(modules)
 
 
 def test_transversal_cli(tmp_path):

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -150,3 +153,27 @@ def test_json_rational_strings():
 def test_total_weight_exact():
     arr = arrangement(2, [((1, 0), 0, Fraction(1, 3)), ((0, 1), 0, Fraction(1, 6))])
     assert arr.total_weight == Fraction(1, 2)
+
+
+def _integer_vector_by_fractions(v):
+    """The lcm/gcd scaling on Fractions, which `linalg.integer_vector` skips for int input."""
+    v = [Fraction(c) for c in v]
+    scale = reduce(math.lcm, (c.denominator for c in v), 1)
+    ints = [c.numerator * (scale // c.denominator) for c in v]
+    g = reduce(math.gcd, ints, 0)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
+
+
+def test_integer_vector_matches_fraction_scaling():
+    rng = random.Random("integer_vector")
+    for trial in range(3000):
+        n = rng.randint(0, 6)
+        if trial % 3 == 0:  # ints with a common factor, zeros and big values
+            g = rng.choice((1, 2, 6, 2**70))
+            v = [g * rng.choice((0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(n)]
+        elif trial % 3 == 1:  # Fractions, some of them integral
+            v = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)]
+        else:  # ints mixed with Fractions
+            v = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))) for _ in range(n)]
+        got = linalg.integer_vector(v)
+        assert got == _integer_vector_by_fractions(v) and all(type(c) is int for c in got), v
