@@ -11,7 +11,6 @@ Each axiom reports applicability, pass/fail and a witness for failures.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .depth import (
@@ -23,7 +22,7 @@ from .depth import (
 )
 from .enclosing import hyperplane_enclosing_depth
 from .errors import ExactBudgetExceeded
-from .geometry import Arrangement, hyperplane, point
+from .geometry import Arrangement, hyperplane, point, record
 from .tverberg import hyperplane_tverberg_depth
 
 
@@ -43,7 +42,7 @@ def measure_value(kind, arr, q) -> Fraction:
     raise ValueError(f"unknown measure {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class AxiomResult:
     axiom: str
     applicable: bool
@@ -51,7 +50,7 @@ class AxiomResult:
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     kind: MeasureKind
     results: tuple

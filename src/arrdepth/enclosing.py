@@ -13,17 +13,16 @@ through the groups chosen so far to a valid set, and cuts a partial choice
 as soon as too few such indices remain to fill the groups left.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg, linprog
 from .errors import CertificateError, ExactBudgetExceeded
-from .geometry import Arrangement, evaluate, point
+from .geometry import Arrangement, evaluate, point, record
 from .tverberg import coverable_pieces, max_packing
 
 
-@dataclass(frozen=True)
+@record
 class EnclosureCertificate:
     k: int
     groups: tuple  # d+1 disjoint index tuples, each of size k

@@ -12,10 +12,9 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from . import cells, linalg
 from .errors import DimensionError, GenerationError, InvalidHyperplane
@@ -40,6 +39,77 @@ def point(coords) -> Point:
     return tuple(frac(c) for c in coords)
 
 
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, as ``dataclass(frozen=True)`` would.
+
+    Adds ``__init__`` (positional or keyword arguments; a class attribute
+    named like a field is its default; ``__post_init__`` runs last),
+    ``__eq__`` within the class and ``__hash__``, both on the tuple of
+    fields, the dataclass ``__repr__``, ``__match_args__``, and a
+    ``__setattr__`` and ``__delattr__`` that raise AttributeError. Fields
+    live in the instance ``__dict__``, so `functools.cached_property`,
+    `pickle` and `copy` work as usual. The methods are closures over the
+    field names: no source is generated, so defining a record costs little
+    at import.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    if any(name in defaults for name in names[: len(names) - len(defaults)]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows a field with one")
+    key = operator.attrgetter(*names)  # the tuple of fields (every record has two or more)
+    size = len(names)
+    post_init = hasattr(cls, "__post_init__")
+    setfield = object.__setattr__
+
+    def bind(args, kwargs):
+        """The field values in order, from the arguments and the defaults."""
+        where = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names) + 1} positional arguments but {len(args) + 1} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values and name not in defaults]
+        if missing:
+            raise TypeError(f"{where} missing {len(missing)} required argument(s): {', '.join(map(repr, missing))}")
+        return [values[name] if name in values else defaults[name] for name in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != size:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            setfield(self, name, value)  # not through __dict__, which would slow every later attribute read
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(f"{n}={getattr(self, n)!r}" for n in names) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
 def _canonical_pair(normal, offset):
     normal = [frac(c) for c in normal]
     if all(c == 0 for c in normal):
@@ -50,13 +120,13 @@ def _canonical_pair(normal, offset):
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
-@dataclass(frozen=True)
+@record
 class Hyperplane:
     """An affine hyperplane ``normal . x = offset`` with weight >= 0."""
 
     normal: Point
     offset: Fraction
-    weight: Fraction = field(default=Fraction(1))
+    weight: Fraction = Fraction(1)
 
     def __post_init__(self):
         n, o = _canonical_pair(self.normal, self.offset)
@@ -102,7 +172,7 @@ def hyperplane(normal, offset, weight=1) -> Hyperplane:
     return Hyperplane(point(normal), frac(offset), frac(weight))
 
 
-@dataclass(frozen=True)
+@record
 class Arrangement:
     """A weighted arrangement: an ordered list of hyperplanes in R^d."""
 
@@ -232,7 +302,7 @@ def arrangement(d: int, rows: Sequence[tuple]) -> Arrangement:
     return Arrangement(d, tuple(hs))
 
 
-@dataclass(frozen=True)
+@record
 class QueryEvaluation:
     """Per-hyperplane residuals and closest points (the dual point set at q)."""
 
@@ -259,7 +329,7 @@ def evaluate(arr: Arrangement, q) -> QueryEvaluation:
     return QueryEvaluation(q, tuple(residuals), tuple(duals), frozenset(on))
 
 
-@dataclass(frozen=True)
+@record
 class GeneralPositionReport:
     """Outcome of the general-position predicate, with per-check flags."""
 

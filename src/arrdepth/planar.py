@@ -12,23 +12,16 @@ Euler-characteristic bookkeeping, where it is a deformation retract of the
 unbounded complex.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .cells import _angle_cmp, enumerate_faces
-from .depth import open_regression_depth, regression_depth, truncated_regression_depth, MeasureKind
+from .depth import MeasureKind, _depth_at_masks
 from .errors import DimensionError
-from .geometry import Arrangement
-
-_MEASURES = {
-    MeasureKind.RD: lambda arr, q: regression_depth(arr, q)[0],
-    MeasureKind.RD_OPEN: lambda arr, q: open_regression_depth(arr, q)[0],
-    MeasureKind.TRD: truncated_regression_depth,
-}
+from .geometry import Arrangement, record
 
 
-@dataclass(frozen=True)
+@record
 class PlanarFace:
     index: int
     dim: int
@@ -39,7 +32,7 @@ class PlanarFace:
     degenerate: bool = False  # vertex where more than two distinct lines meet
 
 
-@dataclass(frozen=True)
+@record
 class PlanarSubdivision:
     arrangement: Arrangement
     faces: tuple
@@ -69,24 +62,44 @@ class PlanarSubdivision:
         A face's corners are the candidate points in its closure: a cell lists
         them counter-clockwise about their mean, starting from the +x direction
         (`cells._angle_cmp`), an edge gives the two ends of its segment and a
-        vertex its point. Computed on first use and kept with the subdivision.
+        vertex its point. An edge tests only the corners on its own line, and
+        passes them to the two cells it bounds, whose signs are the edge's with
+        its zero bits set to + or to -; a cell adds the box corners inside it.
+        Computed on first use and kept with the subdivision.
         """
         xmin, ymin, xmax, ymax = self.bbox
-        pts = [f.rep for f in self.vertices] + [p for a, c in self.lines for p in _box_points(self.bbox, a, c)]
+        pts = [p for a, c in self.lines for p in _box_points(self.bbox, a, c)]
         pts += [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-        # dict.fromkeys drops a box corner that is also a line's box point
-        corners = [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
-        out = []
-        for f in self.faces:
-            if f.dim == 0:
-                out.append((f.rep,))
-                continue
-            poly = [p for p, pos, neg in corners if pos & f.pos == pos and neg & f.neg == neg]
-            if f.dim == 2:  # about k times the corners' mean: rep itself may lie outside the box
-                k, sx, sy = len(poly), sum(p[0] for p in poly), sum(p[1] for p in poly)
-                rel = [((k * p[0] - sx, k * p[1] - sy), p) for p in poly]
-                poly = [p for _, p in sorted(rel, key=cmp_to_key(lambda u, v: _angle_cmp(u[0], v[0])))]
-            out.append(tuple(poly))
+        # a vertex is its own corner; dict.fromkeys drops a box corner that is also a line's box point
+        corners = [(f.rep, f.pos, f.neg) for f in self.vertices]
+        corners += [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
+        full = (1 << len(self.arrangement)) - 1
+        cell_of = {(f.pos, f.neg): f.index for f in self.cells}
+        owned = {f.index: set() for f in self.cells}  # cell index -> indices of its corners
+        on_line = {}  # bit of a hyperplane -> indices of the corners on it, in order
+        for j, (_, pos, neg) in enumerate(corners):
+            zero = full & ~(pos | neg)
+            if not zero:  # a box corner off every line lies in one cell
+                owned[cell_of[pos, neg]].add(j)
+            while zero:
+                on_line.setdefault(zero & -zero, []).append(j)
+                zero &= zero - 1
+        out = [(f.rep,) for f in self.faces]
+        for f in self.edges:
+            zero = full & ~(f.pos | f.neg)
+            own = []
+            for j in on_line[zero & -zero]:
+                _, pos, neg = corners[j]
+                if pos & f.pos == pos and neg & f.neg == neg:
+                    own.append(j)
+            out[f.index] = tuple(corners[j][0] for j in own)
+            owned[cell_of[f.pos | zero, f.neg]].update(own)
+            owned[cell_of[f.pos, f.neg | zero]].update(own)
+        for f in self.cells:  # about k times the corners' mean: rep itself may lie outside the box
+            poly = [corners[j][0] for j in sorted(owned[f.index])]
+            k, sx, sy = len(poly), sum(p[0] for p in poly), sum(p[1] for p in poly)
+            rel = [((k * p[0] - sx, k * p[1] - sy), p) for p in poly]
+            out[f.index] = tuple(p for _, p in sorted(rel, key=cmp_to_key(lambda u, v: _angle_cmp(u[0], v[0]))))
         return tuple(out)
 
 
@@ -158,7 +171,7 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
     return PlanarSubdivision(arr, tuple(faces), tuple(distinct), (-r, -r, r, r))
 
 
-@dataclass(frozen=True)
+@record
 class DepthTable:
     measure: MeasureKind
     values: dict  # face index -> Fraction
@@ -168,15 +181,23 @@ class DepthTable:
 
 
 def label_depth(sub: PlanarSubdivision, arr: Arrangement, measure) -> DepthTable:
-    """Evaluate a combinatorial measure once per face at its representative."""
+    """Evaluate a combinatorial measure once per face, from the face's sign bitmasks.
+
+    The masks are the faces' own when arr has the subdivision's hyperplanes
+    (weights may differ), and are read at each face's representative
+    otherwise.
+    """
     if isinstance(measure, str):
         measure = MeasureKind(measure)
-    fn = _MEASURES[measure]
-    values = {f.index: fn(arr, f.rep) for f in sub.faces}
+    if arr.int_rows == sub.arrangement.int_rows:
+        masks = [(f.pos, f.neg) for f in sub.faces]
+    else:
+        masks = [_masks(arr, f.rep) for f in sub.faces]
+    values = {f.index: _depth_at_masks(arr, pos, neg, measure)[0] for f, (pos, neg) in zip(sub.faces, masks)}
     return DepthTable(measure, values)
 
 
-@dataclass(frozen=True)
+@record
 class DepthRegion:
     k: Fraction
     measure: MeasureKind
@@ -203,7 +224,7 @@ def euler_counts(sub: PlanarSubdivision):
     return V, E, F
 
 
-@dataclass(frozen=True)
+@record
 class ContractibilityReport:
     status: str  # "ok" | "empty" | "disconnected" | "not-simply-connected" | "not-closed"
     contractible: bool

@@ -17,7 +17,6 @@ direction succeeds comes from the center-transversal theorem the solver
 realizes.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -32,10 +31,10 @@ from .errors import (
     OriginIncidenceError,
     PrecisionExceeded,
 )
-from .geometry import Arrangement, Hyperplane, point
+from .geometry import Arrangement, Hyperplane, point, record
 
 
-@dataclass(frozen=True)
+@record
 class FlatRestriction:
     basis: tuple  # independent rational spanning vectors of L
     restricted: Arrangement  # in basis coordinates, parallel hyperplanes removed
@@ -104,14 +103,14 @@ def restricted_truncated_depth(arr: Arrangement, q, basis) -> Fraction:
     return min(arr.total_weight / (k + 1), restricted_depth(arr, q, basis))
 
 
-@dataclass(frozen=True)
+@record
 class RayCounts:
     left: Fraction  # weight crossed by the ray in direction -u (parallels excluded)
     right: Fraction
     parallel: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class TransversalSolution:
     direction: tuple  # canonical integer direction of the line through the origin
     t: Fraction  # q = t * direction

@@ -17,17 +17,16 @@ partition exists. Everything is exact, and every certificate is re-verified
 by `verify_partition`.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import linprog
 from .cells import candidate_points
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
-from .geometry import point
+from .geometry import point, record
 
 
-@dataclass(frozen=True)
+@record
 class TverbergCertificate:
     partition: tuple
     q: tuple  # exact rational point

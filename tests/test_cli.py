@@ -86,25 +86,44 @@ def test_depthmap_svg(tri_file, tmp_path):
 
 
 def test_depthmap_process_skips_unused_modules(tmp_path):
-    # a fresh interpreter: this test process has imported every module already
+    # a fresh interpreter per command: this test process has imported every module already.
+    # -S keeps site-packages (and what their .pth files import) out of the interpreter.
     path = tmp_path / "eleven.json"
     path.write_text(dump_json(generate_instance(3, 2, 11, "generic")))
-    script = (
-        "import json, sys\n"
-        "from arrdepth import cli\n"
-        f"code, _ = cli.run(['depthmap', '--deepest', '--out', {str(tmp_path / 'map.svg')!r}, {str(path)!r}])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('arrdepth'))]))\n"
-    )
+    seven = tmp_path / "seven.json"
+    seven.write_text(dump_json(generate_instance(4, 2, 7, "generic")))
+    commands = {
+        "depthmap": ["depthmap", "--deepest", "--out", str(tmp_path / "map.svg"), str(path)],
+        "depth": ["depth", "--measure", "rd-open", "--query", "1/3,-2", str(path)],
+        "deepest": ["deepest", str(path)],
+        "transversal": ["transversal", str(seven), str(seven)],
+    }
     src = os.path.dirname(os.path.dirname(os.path.abspath(arrdepth.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert code == 0
-    assert "arrdepth.planar" in modules and "arrdepth.depth" in modules
+    loaded = {}
+    for name, argv in commands.items():
+        script = (
+            "import json, sys\n"
+            "from arrdepth import cli\n"
+            f"code, _ = cli.run({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert code == 0, name
+        loaded[name] = set(modules)
+        # records are built without generated code, so nothing pulls these in
+        assert not {"dataclasses", "inspect", "typing"} & loaded[name], name
+    assert {"arrdepth.planar", "arrdepth.depth"} <= loaded["depthmap"]
     unused = {"arrdepth.axioms", "arrdepth.enclosing", "arrdepth.tverberg", "arrdepth.transversal", "arrdepth.linprog"}
-    assert not unused & set(modules)
+    assert not unused & loaded["depthmap"]
+    assert "arrdepth.transversal" in loaded["transversal"]
 
 
 def test_transversal_cli(tmp_path):

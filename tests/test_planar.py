@@ -6,7 +6,7 @@ from test_cells import _degenerate
 
 from arrdepth.depth import MeasureKind, deepest_point, open_regression_depth, regression_depth, truncated_regression_depth
 from arrdepth.errors import DimensionError
-from arrdepth.geometry import Arrangement, arrangement, generate_instance
+from arrdepth.geometry import Arrangement, arrangement, generate_instance, hyperplane
 from arrdepth.planar import (
     PlanarSubdivision,
     _box_points,
@@ -356,3 +356,32 @@ def test_polygons_built_once_per_subdivision(monkeypatch):
     other = build_subdivision(arr)
     euler_counts(other)
     assert calls == [sub, other]  # kept with each subdivision, not in a module-global cache
+
+
+_PUBLIC = [
+    (MeasureKind.RD, lambda a, q: regression_depth(a, q)[0]),
+    (MeasureKind.RD_OPEN, lambda a, q: open_regression_depth(a, q)[0]),
+    (MeasureKind.TRD, truncated_regression_depth),
+]
+
+
+def test_labels_match_public_functions_at_every_face():
+    # label_depth reads each face's sign bitmasks; the public functions read the representative
+    for arr in _polygon_cases():
+        sub = build_subdivision(arr)
+        for measure, fn in _PUBLIC:
+            assert label_depth(sub, arr, measure).values == {f.index: fn(arr, f.rep) for f in sub.faces}, (arr, measure)
+
+
+def test_labels_for_other_weights_and_other_hyperplanes():
+    # the faces' masks serve any weights on the same hyperplanes; other hyperplanes are read at the representatives
+    rng = random.Random(5)
+    for seed in range(12):
+        arr = _degenerate(9300 + seed, 2, 3 + seed % 7)
+        sub = build_subdivision(arr)
+        weights = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in arr]
+        reweighted = Arrangement(2, tuple(hyperplane(h.normal, h.offset, w) for h, w in zip(arr, weights)))
+        for other in (reweighted, generate_instance(seed, 2, 4), Arrangement(2, ())):
+            for measure, fn in _PUBLIC:
+                table = label_depth(sub, other, measure)
+                assert table.values == {f.index: fn(other, f.rep) for f in sub.faces}, (arr, other, measure)
