@@ -13,14 +13,15 @@ Two related tasks live here:
 One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986). The
 faces on a hyperplane H are the faces of its trace arrangement {H' cap H},
 enumerated in d-1 coordinates of H and lifted back, with their signs read
-from the trace signs; the cells are reached by nudging each facet
-representative to both sides of H. The recursion bottoms out at d = 0, a
-point, so the planar complex is one case of it. It runs on Python ints: a
-representative is an integer point (nums, den) standing for nums / den, and
-the nudged points' signs come from the facet's integer residuals, so nothing
-is evaluated twice. Representatives become `Fraction` tuples only on the way
-out. A central arrangement in d >= 3 is read off its two affine slices
-u_d = +-1, which every open cell meets.
+from the trace signs. It bottoms out at d = 1, where the points c / a are
+read directly and sorted, so the planar complex is one case of it. The
+cells are reached from the facets: a facet's two cells have its signs with
+its zeros set to + and to -, and only a cell met for the first time is
+given a point, the facet's nudged to that side. The recursion runs on
+Python ints: a representative is an integer point (nums, den) standing for
+nums / den, and nothing is evaluated twice. Representatives become
+`Fraction` tuples only on the way out. A central arrangement in d >= 3 is
+read off its two affine slices u_d = +-1, which every open cell meets.
 """
 
 import math
@@ -92,14 +93,8 @@ def direction_cells(normals, d):
 
 
 def _direction_cells_2d(lines):
-    rays = []
-    seen = set()
-    for a in lines:
-        for w in (_rot90(a), _rot90((-a[0], -a[1]))):
-            key = (Fraction(w[0]), Fraction(w[1]))
-            if key not in seen:
-                seen.add(key)
-                rays.append(key)
+    """One integer vector inside each sector cut by the lines' normals, counter-clockwise from +x."""
+    rays = [w for a in lines for w in (_rot90(a), (a[1], -a[0]))]  # lines are distinct up to sign
     rays.sort(key=cmp_to_key(_angle_cmp))
     reps = []
     m = len(rays)
@@ -108,7 +103,7 @@ def _direction_cells_2d(lines):
         rep = (w1[0] + w2[0], w1[1] + w2[1])
         if rep == (0, 0):  # antipodal boundary rays: the sector spans a half-plane
             rep = _rot90(w1)
-        reps.append((Fraction(rep[0]), Fraction(rep[1])))
+        reps.append(rep)
     return reps
 
 
@@ -153,7 +148,81 @@ def _faces(hyperplanes, d):
     """
     if not hyperplanes:
         return [((), ((0,) * d, 1), d)]
-    found = {}  # sign vector -> (rep, dim), in order of discovery
+    if d == 1:
+        return _line_faces(hyperplanes)
+    found = _lifted_faces(hyperplanes, d)
+    faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
+    gram = [[sum(map(mul, a, a2)) for a2, _ in hyperplanes] for a, _ in hyperplanes]
+    cells = {}
+    for signs, (num, den), dim in faces:
+        if dim != d - 1:
+            continue
+        # The facet's zeros are the copies of one hyperplane a.x = c, so its two cells'
+        # signs are its own with each zero j set to +-sign(a_j.a). Only a new cell needs
+        # a point: nudge the facet p = num / den off a.x = c to both sides by half the
+        # nearest crossing step S / (C den), where S / C = min |s_j| / |a_j.a| over the
+        # integer residuals s_j = den (a_j.p - c_j) with a_j.a != 0, to
+        # (2C num +- S a) / (2C den). With no crossing, the step is 1: p +- a.
+        i = signs.index(0)
+        a, cross = hyperplanes[i][0], gram[i]
+        up = tuple([s or (x > 0) - (x < 0) for s, x in zip(signs, cross)])
+        down = tuple([s or (x < 0) - (x > 0) for s, x in zip(signs, cross)])
+        if up in cells and down in cells:
+            continue
+        S = C = 0
+        for (aj, cj), x in zip(hyperplanes, cross):
+            s = x and sum(map(mul, aj, num)) - cj * den
+            if s and (not C or abs(s) * C < S * abs(x)):
+                S, C = abs(s), abs(x)
+        if not C:
+            S, C = 2 * den, 1
+        for t, key in ((S, up), (-S, down)):
+            if key not in cells:
+                cells[key] = _lowest(tuple(2 * C * v + t * w for v, w in zip(num, a)), 2 * C * den)
+    return faces + [(s, q, d) for s, q in cells.items()]
+
+
+def _line_faces(hyperplanes):
+    """`_faces` at d = 1: the points c / a in order of hyperplanes, then the open intervals.
+
+    At x = c / a, a_j x - c_j has the sign of a (a_j c - a c_j). Each point
+    meets the interval on the side of its first hyperplane's normal, then the
+    other one; a new interval gets the point moved that way by half the
+    nearest gap between points, read from the sorted points, or by that
+    normal when there is one point. This is the nudge of the higher levels,
+    so the representatives are the same.
+    """
+    points = {}  # (num, den) of a point -> (signs, normal of its first hyperplane), in order of hyperplanes
+    for (a,), c in hyperplanes:
+        (n,), den = _lowest((c,), a)
+        if (n, den) not in points:
+            res = [a * (aj * c - a * cj) for (aj,), cj in hyperplanes]
+            points[n, den] = (tuple([(v > 0) - (v < 0) for v in res]), a)
+    ordered = sorted(points, key=cmp_to_key(_ratio_cmp))
+    rank = {p: r for r, p in enumerate(ordered)}
+    gaps = [(q[0] * p[1] - p[0] * q[1], p[1] * q[1]) for p, q in zip(ordered, ordered[1:])]
+    normal_signs = [_sign(aj) for (aj,), _ in hyperplanes]
+    cells = {}  # r -> (signs, rep) of the interval between the points of rank r - 1 and r
+    for (n, den), (signs, a) in points.items():
+        r = rank[n, den]
+        around = gaps[max(r - 1, 0) : r + 1]  # to the neighbours
+        gn, gd = min(around, key=cmp_to_key(_ratio_cmp)) if around else (2 * abs(a), 1)
+        for step in (1, -1) if a > 0 else (-1, 1):
+            j = r + (step > 0)
+            if j not in cells:
+                key = tuple([s or step * t for s, t in zip(signs, normal_signs)])
+                cells[j] = (key, _lowest((2 * n * gd + step * gn * den,), 2 * den * gd))
+    return [(s, ((n,), den), 0) for (n, den), (s, _) in points.items()] + [(s, x, 1) for s, x in cells.values()]
+
+
+def _ratio_cmp(p, q):
+    """Order of the rationals p[0] / p[1] and q[0] / q[1], whose denominators are positive."""
+    return p[0] * q[1] - q[0] * p[1]
+
+
+def _lifted_faces(hyperplanes, d):
+    """The faces on the hyperplanes, d >= 2, from their traces, as {signs: (rep, dim)} in order of discovery."""
+    found = {}
     for a, c in hyperplanes:
         # Trace on a.x = c: eliminate x_k, the first coordinate with a_k != 0.
         # On a.x = c, a_k (a2.x - c2) is a positive multiple of the residual of
@@ -168,9 +237,9 @@ def _faces(hyperplanes, d):
             normal = [ak * v - b * w for v, w in zip(a2, a)]
             off = ak * c2 - b * c
             if any(normal):
-                row = linalg.integer_vector(normal + [off])
+                g = math.gcd(*normal, off)  # coprime trace rows; normal[k] is 0
                 pick.append(len(trace))
-                trace.append((row[:k] + row[k + 1 : -1], row[-1]))
+                trace.append((tuple(v // g for i, v in enumerate(normal) if i != k), off // g))
             else:
                 pick.append(-1 - len(consts))
                 consts.append(_sign(-off))
@@ -185,31 +254,7 @@ def _faces(hyperplanes, d):
             # x_k = (c - rest.y) / a_k, over the common denominator a_k dy
             nx = (*(ak * v for v in ny[:k]), c * dy - sum(map(mul, rest, ny)), *(ak * v for v in ny[k:]))
             found[signs] = (_lowest(nx, ak * dy), dim)
-    faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
-    gram = [[sum(map(mul, a, a2)) for a2, _ in hyperplanes] for a, _ in hyperplanes]
-    cells = {}
-    for signs, (num, den), dim in faces:
-        if dim != d - 1:
-            continue
-        # Nudge the facet p = num / den off its hyperplane a.x = c to both sides by
-        # half the nearest crossing step S / (C den), where S / C = min |s_j| / |a_j.a|
-        # over the integer residuals s_j = den (a_j.p - c_j) with a_j.a != 0: to
-        # (2C num +- S a) / (2C den), where the residuals are (2C s_j +- S a_j.a) / (2C den).
-        # With no crossing, the step is 1: p +- a.
-        i = signs.index(0)
-        a, cross = hyperplanes[i][0], gram[i]
-        res = [sum(map(mul, aj, num)) - cj * den for aj, cj in hyperplanes]
-        S = C = 0
-        for s, x in zip(res, cross):
-            if s and x and (not C or abs(s) * C < S * abs(x)):
-                S, C = abs(s), abs(x)
-        if not C:
-            S, C = 2 * den, 1
-        for t in (S, -S):
-            key = tuple((v > 0) - (v < 0) for v in [2 * C * s + t * x for s, x in zip(res, cross)])
-            if key not in cells:
-                cells[key] = _lowest(tuple(2 * C * v + t * w for v, w in zip(num, a)), 2 * C * den)
-    return faces + [(s, q, d) for s, q in cells.items()]
+    return found
 
 
 def enumerate_faces(arr):

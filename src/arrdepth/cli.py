@@ -266,14 +266,22 @@ def _cmd_tverberg(args):
 
 
 def _cmd_depthmap(args):
-    from .depth import deepest_point
+    from .depth import MeasureKind, _depth_at_masks, deepest_point
     from .planar import build_subdivision, euler_counts, label_depth, render_svg
 
     arr = _load(args.file)
     sub = build_subdivision(arr)
     table = label_depth(sub, arr, args.measure)
     deepest = None
-    if args.deepest and len(arr):
+    vertices = sub.vertices
+    if args.deepest and vertices:
+        # the vertices are `deepest_point`'s candidates when there are any: RD at each, ties to the smallest
+        if table.measure is MeasureKind.RD:
+            rd = {f.index: table.values[f.index] for f in vertices}
+        else:
+            rd = {f.index: _depth_at_masks(arr, f.pos, f.neg, MeasureKind.RD)[0] for f in vertices}
+        deepest = min(vertices, key=lambda f: (-rd[f.index], f.rep)).rep
+    elif args.deepest and len(arr):
         deepest, _, _ = deepest_point(arr)
     svg = render_svg(sub, table, deepest=deepest)
     with open(args.out, "w") as fh:

@@ -222,12 +222,13 @@ class Arrangement:
         set when a_i . reps[j] > 0 (< 0). Both depend only on the normals, so
         every query on the arrangement reuses them. See `cells.direction_cells`.
         """
-        reps = tuple(cells.direction_cells([h.normal for h in self.hyperplanes], self.dimension))
+        reps = tuple(cells.direction_cells([a for a, _ in self.int_rows], self.dimension))
         masks = []
         for u in reps:
+            u = [c.numerator for c in u]  # an integer vector: see `cells.normalize_ray`
             pos = neg = 0
             for i, (a, _) in enumerate(self.int_rows):
-                s = linalg.dot(a, u)
+                s = sum(map(operator.mul, a, u))
                 if s > 0:
                     pos |= 1 << i
                 elif s < 0:

@@ -12,6 +12,7 @@ Euler-characteristic bookkeeping, where it is a deformation retract of the
 unbounded complex.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
@@ -56,6 +57,20 @@ class PlanarSubdivision:
         return all(xmin < x < xmax and ymin < y < ymax for x, y in self.polygons[face.index])
 
     @cached_property
+    def corners(self):
+        """The candidate corners as (point, pos, neg): the vertices, then the box points and box corners.
+
+        Each point is listed once, with its sign bitmasks. These are the
+        corners of `polygons` and the V of `euler_counts`.
+        """
+        xmin, ymin, xmax, ymax = self.bbox
+        pts = [p for a, c in self.lines for p in _box_points(self.bbox, a, c)]
+        pts += [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+        # a vertex is its own corner; dict.fromkeys drops a box corner that is also a line's box point
+        corners = [(f.rep, f.pos, f.neg) for f in self.vertices]
+        return corners + [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
+
+    @cached_property
     def polygons(self):
         """Each face's closure within the bounding box, as a tuple indexed like `faces`.
 
@@ -65,14 +80,10 @@ class PlanarSubdivision:
         vertex its point. An edge tests only the corners on its own line, and
         passes them to the two cells it bounds, whose signs are the edge's with
         its zero bits set to + or to -; a cell adds the box corners inside it.
-        Computed on first use and kept with the subdivision.
+        A cell's corners are sorted on integer numerators over one common
+        denominator. Computed on first use and kept with the subdivision.
         """
-        xmin, ymin, xmax, ymax = self.bbox
-        pts = [p for a, c in self.lines for p in _box_points(self.bbox, a, c)]
-        pts += [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-        # a vertex is its own corner; dict.fromkeys drops a box corner that is also a line's box point
-        corners = [(f.rep, f.pos, f.neg) for f in self.vertices]
-        corners += [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
+        corners = self.corners
         full = (1 << len(self.arrangement)) - 1
         cell_of = {(f.pos, f.neg): f.index for f in self.cells}
         owned = {f.index: set() for f in self.cells}  # cell index -> indices of its corners
@@ -95,11 +106,15 @@ class PlanarSubdivision:
             out[f.index] = tuple(corners[j][0] for j in own)
             owned[cell_of[f.pos | zero, f.neg]].update(own)
             owned[cell_of[f.pos, f.neg | zero]].update(own)
+        ints = [_over_one_den(p) for p, _, _ in corners]  # (xn, yn, den) with p = (xn, yn) / den
         for f in self.cells:  # about k times the corners' mean: rep itself may lie outside the box
-            poly = [corners[j][0] for j in sorted(owned[f.index])]
-            k, sx, sy = len(poly), sum(p[0] for p in poly), sum(p[1] for p in poly)
-            rel = [((k * p[0] - sx, k * p[1] - sy), p) for p in poly]
-            out[f.index] = tuple(p for _, p in sorted(rel, key=cmp_to_key(lambda u, v: _angle_cmp(u[0], v[0]))))
+            own = sorted(owned[f.index])
+            den = math.lcm(*(ints[j][2] for j in own))
+            xy = [(xn * (den // dn), yn * (den // dn)) for xn, yn, dn in map(ints.__getitem__, own)]
+            k, sx, sy = len(xy), sum(x for x, _ in xy), sum(y for _, y in xy)
+            rel = [((k * x - sx, k * y - sy), j) for (x, y), j in zip(xy, own)]
+            rel.sort(key=cmp_to_key(lambda u, v: _angle_cmp(u[0], v[0])))
+            out[f.index] = tuple(corners[j][0] for _, j in rel)
         return tuple(out)
 
 
@@ -114,6 +129,13 @@ def _masks(arr, p):
     return pos, ((1 << len(arr)) - 1) & ~(pos | zero)
 
 
+def _over_one_den(p):
+    """A rational point as integers (xn, yn, den), den > 0, with p = (xn / den, yn / den)."""
+    x, y = p
+    den = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+
+
 def _sign_bits(signs):
     """A sign vector as (pos, neg) bitmasks."""
     pos = neg = 0
@@ -126,26 +148,29 @@ def _sign_bits(signs):
 
 
 def _box_points(bbox, a, c):
-    """The two points where the line a.x = c meets the box boundary, counter-clockwise from (xmin, ymin)."""
+    """The two points where the line a.x = c meets the box boundary, counter-clockwise from (xmin, ymin).
+
+    The sides come in the order bottom, right, top, left; a line meets each at
+    most once, and a box corner counts for the first of its two sides.
+    """
     xmin, ymin, xmax, ymax = bbox
-    pts = {(x, (c - a[0] * x) / a[1]) for x in (xmin, xmax) if a[1]}
-    pts |= {((c - a[1] * y) / a[0], y) for y in (ymin, ymax) if a[0]}
-
-    def side(p):  # bottom, right, top, left: a line meets each side at most once
-        x, y = p
-        return 0 if y == ymin else 1 if x == xmax else 2 if y == ymax else 3
-
-    return sorted((p for p in pts if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax), key=side)
-
-
-def _distinct_lines_of(arr):
-    seen = {}
     out = []
-    for h in arr:
-        key = h.geometry()  # hyperplanes are canonical on construction
-        if key not in seen:
-            seen[key] = True
-            out.append(((h.normal[0], h.normal[1]), h.offset))
+    if a[0]:
+        x = (c - a[1] * ymin) / a[0]
+        if xmin <= x <= xmax:
+            out.append((x, ymin))
+    if a[1]:
+        y = (c - a[0] * xmax) / a[1]
+        if ymin < y <= ymax:
+            out.append((xmax, y))
+    if a[0]:
+        x = (c - a[1] * ymax) / a[0]
+        if xmin <= x < xmax:
+            out.append((x, ymax))
+    if a[1]:
+        y = (c - a[0] * xmin) / a[1]
+        if ymin < y < ymax:
+            out.append((xmin, y))
     return out
 
 
@@ -153,12 +178,16 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
     """Exact face complex of a 2D arrangement (degeneracies allowed)."""
     if arr.dimension != 2:
         raise DimensionError("planar subdivision requires d = 2")
-    distinct = _distinct_lines_of(arr)
-    keys = [h.geometry() for h in arr]
+    first = {}  # integer row -> index of its first copy: hyperplanes are canonical on construction
+    lead = 0  # bitmask of the first copies, one bit per distinct line
+    for i, row in enumerate(arr.int_rows):
+        if first.setdefault(row, i) == i:
+            lead |= 1 << i
+    distinct = [((arr[i].normal[0], arr[i].normal[1]), arr[i].offset) for i in first.values()]
     faces = []
     for i, (signs, rep, dim) in enumerate(enumerate_faces(arr)):
-        on = {key for key, s in zip(keys, signs) if s == 0}
-        faces.append(PlanarFace(i, dim, signs, rep, *_sign_bits(signs), dim == 0 and len(on) > 2))
+        pos, neg = _sign_bits(signs)
+        faces.append(PlanarFace(i, dim, signs, rep, pos, neg, dim == 0 and (lead & ~(pos | neg)).bit_count() > 2))
     # bounding box at twice the extent of vertices and line anchors
     ext = Fraction(1)
     pts = [f.rep for f in faces if f.dim == 0]
@@ -217,7 +246,7 @@ def cell_polygon(sub: PlanarSubdivision, face) -> list:
 
 def euler_counts(sub: PlanarSubdivision):
     """V, E, F of the complex within the bounding box; V - E + F = 2 certifies consistency."""
-    V = len({p for poly in sub.polygons for p in poly})
+    V = len(sub.corners)  # every corner lies in some face's closure
     # the boundary cycle has one edge per consecutive pair of box points
     E = len(sub.edges) + V - len(sub.vertices)
     F = len(sub.cells) + 1  # outer face
@@ -301,8 +330,30 @@ def _ramp(value: Fraction, vmax: Fraction) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{float(x):.3f}"
+def _fmt(num: int, den: int) -> str:
+    """num / den to three decimals: the one float made, correctly rounded as float(Fraction(num, den)) is."""
+    return f"{num / den:.3f}"
+
+
+def _screen(bbox, size):
+    """The map from p to its formatted screen coordinates, on integer numerators and positive denominators.
+
+    x maps to size (x - xmin) / (xmax - xmin) and y to size (ymax - y) / (ymax - ymin),
+    exactly until `_fmt` rounds them.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    w, h = xmax - xmin, ymax - ymin
+    xa, xb, kx, lx = xmin.numerator, xmin.denominator, size * w.denominator, xmin.denominator * w.numerator
+    ya, yb, ky, ly = ymax.numerator, ymax.denominator, size * h.denominator, ymax.denominator * h.numerator
+
+    def tx(p):
+        x, y = p
+        return (
+            _fmt(kx * (x.numerator * xb - xa * x.denominator), lx * x.denominator),
+            _fmt(ky * (ya * y.denominator - y.numerator * yb), ly * y.denominator),
+        )
+
+    return tx
 
 
 def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=1000) -> str:
@@ -310,18 +361,7 @@ def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=100
 
     Identical inputs produce byte-identical output.
     """
-    xmin, ymin, xmax, ymax = sub.bbox
-    sx = Fraction(size) / (xmax - xmin)
-    sy = Fraction(size) / (ymax - ymin)
-    screen = {}
-
-    def tx(p):
-        """p's formatted screen coordinates, transformed once per distinct point."""
-        xy = screen.get(p)
-        if xy is None:
-            xy = screen[p] = (_fmt(sx * (p[0] - xmin)), _fmt(size - sy * (p[1] - ymin)))
-        return xy
-
+    tx = _screen(sub.bbox, size)
     values = [table.values[f.index] for f in sub.faces]
     vmax = max(values) if values else Fraction(0)
     out = []

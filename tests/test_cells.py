@@ -11,18 +11,20 @@ hyperplanes.
 integer recursion in `cells._faces` replaced: every lifted face's signs are
 evaluated from its point, and every nudged point is built and evaluated
 again. `enumerate_faces` and `direction_cells` must return exactly its lists,
-representatives and order included.
+representatives and order included. `_fraction_direction_cells_2d` is the
+angular sort of the planar direction cells on `Fraction` rays, which the
+integer sort in `cells._direction_cells_2d` replaced.
 """
 
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from math import comb
 from operator import mul
 
 from arrdepth import linalg, linprog
-from arrdepth.cells import _distinct_lines, _faces, direction_cells, enumerate_faces, normalize_ray
+from arrdepth.cells import _angle_cmp, _distinct_lines, _faces, _rot90, direction_cells, enumerate_faces, normalize_ray
 from arrdepth.depth import deepest_point, regression_depth
 from arrdepth.geometry import Arrangement, generate_instance, hyperplane
 
@@ -139,6 +141,38 @@ def _fraction_direction_cells(normals, d):
                 seen.add(key)
                 reps.append(u)
     return [normalize_ray(u) for u in reps]
+
+
+def _fraction_direction_cells_2d(normals):
+    """Planar direction cells by an angular sort of `Fraction` rays, with their sign masks on the normals."""
+    lines = _distinct_lines(normals)
+    if not lines:
+        reps = [(Fraction(1), Fraction(0))]
+    else:
+        rays = []
+        seen = set()
+        for a in lines:
+            for w in (_rot90(a), _rot90((-a[0], -a[1]))):
+                key = (Fraction(w[0]), Fraction(w[1]))
+                if key not in seen:
+                    seen.add(key)
+                    rays.append(key)
+        rays.sort(key=cmp_to_key(_angle_cmp))
+        reps = []
+        m = len(rays)
+        for i in range(m):
+            w1, w2 = rays[i], rays[(i + 1) % m]
+            rep = (w1[0] + w2[0], w1[1] + w2[1])
+            if rep == (0, 0):  # antipodal boundary rays: the sector spans a half-plane
+                rep = _rot90(w1)
+            reps.append(normalize_ray((Fraction(rep[0]), Fraction(rep[1]))))
+    masks = []
+    for u in reps:
+        dots = [linalg.dot(a, u) for a in normals]
+        pos = sum(1 << i for i, s in enumerate(dots) if s > 0)
+        neg = sum(1 << i for i, s in enumerate(dots) if s < 0)
+        masks.append((pos, neg))
+    return reps, tuple(masks)
 
 
 def _rank_deficient(seed, d, n):
@@ -304,3 +338,16 @@ def test_integer_faces_match_fraction_recursion():
         if d >= 3:  # d <= 2 direction cells come from an angular sort, not the recursion
             normals = [h.normal for h in arr]
             assert direction_cells(normals, d) == _fraction_direction_cells(normals, d), arr
+
+
+def test_integer_direction_cells_2d_match_fraction_sort():
+    from test_planar import _polygon_cases
+
+    cases = [arr for arr in _parity_cases() if arr.dimension == 2] + _polygon_cases()
+    for arr in cases:
+        normals = [h.normal for h in arr]
+        reps, masks = _fraction_direction_cells_2d(normals)
+        assert direction_cells(normals, 2) == reps, arr
+        fresh = Arrangement(2, arr.hyperplanes)  # its direction cells are not cached yet
+        assert fresh.direction_cells == (tuple(reps), masks), arr
+        assert all(type(c) is Fraction for u in fresh.direction_cells[0] for c in u)

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 from test_cells import _degenerate
 
+from arrdepth import planar
+from arrdepth.cli import run
 from arrdepth.depth import MeasureKind, deepest_point, open_regression_depth, regression_depth, truncated_regression_depth
 from arrdepth.errors import DimensionError
-from arrdepth.geometry import Arrangement, arrangement, generate_instance, hyperplane
+from arrdepth.geometry import Arrangement, arrangement, dump_json, generate_instance, hyperplane
 from arrdepth.planar import (
     PlanarSubdivision,
     _box_points,
+    _screen,
     build_subdivision,
     cell_polygon,
     check_contractible,
@@ -354,7 +357,8 @@ def test_polygons_built_once_per_subdivision(monkeypatch):
         check_contractible(sub, extract_region(sub, table, k))
     assert calls == [sub]
     other = build_subdivision(arr)
-    euler_counts(other)
+    euler_counts(other)  # counts the corners, which the polygons are built from
+    cell_polygon(other, other.cells[0])
     assert calls == [sub, other]  # kept with each subdivision, not in a module-global cache
 
 
@@ -385,3 +389,57 @@ def test_labels_for_other_weights_and_other_hyperplanes():
             for measure, fn in _PUBLIC:
                 table = label_depth(sub, other, measure)
                 assert table.values == {f.index: fn(other, f.rep) for f in sub.faces}, (arr, other, measure)
+
+
+def test_corners_and_degenerate_flags_match_point_sets():
+    # V is the corner count, and a vertex is degenerate when its zero signs name more than two distinct lines
+    for arr in _polygon_cases():
+        sub = build_subdivision(arr)
+        assert len(sub.corners) == len({p for poly in sub.polygons for p in poly}), arr
+        for f in sub.faces:
+            lines = {h.geometry() for h, s in zip(arr, f.signs) if s == 0}
+            assert f.degenerate == (f.dim == 0 and len(lines) > 2), (arr, f)
+
+
+def test_screen_transform_matches_fraction_arithmetic():
+    size = 1000
+    for arr in _polygon_cases():
+        sub = build_subdivision(arr)
+        xmin, ymin, xmax, ymax = sub.bbox
+        sx, sy = Fraction(size) / (xmax - xmin), Fraction(size) / (ymax - ymin)
+        tx = _screen(sub.bbox, size)
+        # every corner, and the representatives, some of which lie outside the box
+        for p in {p for poly in sub.polygons for p in poly} | {f.rep for f in sub.faces}:
+            x, y = p
+            assert tx(p) == (f"{float(sx * (x - xmin)):.3f}", f"{float(size - sy * (y - ymin)):.3f}"), (arr, p)
+
+
+def test_depthmap_marks_deepest_point(tmp_path, monkeypatch):
+    # the marked point is `deepest_point`'s, read from the vertices or, with none, from deepest_point itself
+    marked = []
+    real = planar.render_svg
+
+    def recording(sub, table, deepest=None, size=1000):
+        marked.append(deepest)
+        return real(sub, table, deepest=deepest, size=size)
+
+    monkeypatch.setattr(planar, "render_svg", recording)
+    no_vertex = [
+        arrangement(2, [((1, 1), 2), ((1, 1), -1), ((1, 1), 5)]),  # all parallel
+        arrangement(2, [((2, -1), 3), ((2, -1), 3)]),  # one line, twice
+        arrangement(2, [((0, 1), 1), ((0, 1), 1), ((0, 2), 4), ((0, 1), -3)]),  # parallel with duplicates
+    ]
+    path, out = tmp_path / "arr.json", str(tmp_path / "map.svg")
+    for arr in _polygon_cases() + no_vertex:
+        path.write_text(dump_json(arr))
+        expected = deepest_point(arr)[0] if len(arr) else None
+        for measure in ("rd", "rd-open", "trd"):
+            marked.clear()
+            code, _ = run(["depthmap", "--measure", measure, "--deepest", "--out", out, str(path)])
+            assert code == 0 and marked == [expected], (arr, measure)
+            svg = open(out).read()
+            if expected is None:
+                assert 'id="deepest"' not in svg
+            else:
+                x, y = _screen(build_subdivision(arr).bbox, 1000)(expected)
+                assert f'<g id="deepest"><circle cx="{x}" cy="{y}" r="7"' in svg, (arr, measure)
