@@ -54,80 +54,102 @@ def _default_seed():
     return int(os.environ.get("ARRDEPTH_SEED", "0"))
 
 
-def build_parser():
+_OUT = ("--out", {})
+_QUERY = ("--query", {"required": True})
+_THRESHOLD = ("--exact-threshold", {"type": int, "default": 12})
+_MEASURE = ("--measure", {"choices": ["rd", "rd-open", "trd"], "default": "rd"})
+
+# name -> (help, (flag or name, add_argument options) of each argument, in order)
+_COMMANDS = {
+    "depth": ("depth of a query point", (_MEASURE, _QUERY, ("file", {}), _OUT)),
+    "deepest": ("a point of maximum regression depth", (("file", {}), _OUT)),
+    "htvd": ("hyperplane Tverberg depth of a query point", (_QUERY, _THRESHOLD, ("file", {}), _OUT)),
+    "hed": (
+        "hyperplane enclosing depth of a query point",
+        (_QUERY, ("--strict", {"action": "store_true"}), _THRESHOLD, ("file", {}), _OUT),
+    ),
+    "hed-verify": ("verify a k-enclosure certificate", (("--cert", {"required": True}), ("file", {}), _OUT)),
+    "tverberg": (
+        "solve for a Tverberg partition",
+        (
+            ("--r", {"type": int, "required": True}),
+            ("--seed", {"type": int, "default": None, "help": "recorded in the report; the solver is deterministic"}),
+            ("file", {}),
+            _OUT,
+        ),
+    ),
+    "depthmap": (
+        "SVG depth map of a planar arrangement",
+        (
+            _MEASURE,
+            ("--out", {"required": True}),
+            ("--deepest", {"action": "store_true", "help": "mark a deepest point"}),
+            ("file", {}),
+        ),
+    ),
+    "transversal": ("planar center transversal of two arrangements", (("file1", {}), ("file2", {}), _OUT)),
+    "oracle": (
+        "cross-check the engine against the direction oracle and the dual measures",
+        (
+            ("--trials", {"type": int, "default": 50}),
+            ("--seed", {"type": int, "default": None}),
+            ("--d", {"type": int, "default": 2}),
+            ("--n", {"type": int, "default": 8}),
+            ("--samples", {"type": int, "default": 16}),
+            _OUT,
+        ),
+    ),
+    "gen": (
+        "generate a seeded instance",
+        (
+            ("--seed", {"type": int, "required": True}),
+            ("--d", {"type": int, "required": True}),
+            ("--n", {"type": int, "required": True}),
+            ("--profile", {"choices": ["generic", "weighted"], "default": "generic"}),
+            _OUT,
+        ),
+    ),
+    "axioms": (
+        "run the axiom suite for a measure",
+        (
+            ("--kind", {"choices": ["rd", "rd-open", "trd", "htvd", "hed"], "required": True}),
+            _QUERY,
+            ("--trials", {"type": int, "default": 6}),
+            ("--seed", {"type": int, "default": None}),
+            ("file", {}),
+            _OUT,
+        ),
+    ),
+}
+
+
+def build_parser(only=None):
+    """The CLI parser: every subcommand, or just the one named ``only``."""
     p = _Parser(prog="arrdepth", description="Exact depth measures for hyperplane arrangements.")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("depth", help="depth of a query point")
-    sp.add_argument("--measure", choices=["rd", "rd-open", "trd"], default="rd")
-    sp.add_argument("--query", required=True)
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("deepest", help="a point of maximum regression depth")
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("htvd", help="hyperplane Tverberg depth of a query point")
-    sp.add_argument("--query", required=True)
-    sp.add_argument("--exact-threshold", type=int, default=12)
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("hed", help="hyperplane enclosing depth of a query point")
-    sp.add_argument("--query", required=True)
-    sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--exact-threshold", type=int, default=12)
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("hed-verify", help="verify a k-enclosure certificate")
-    sp.add_argument("--cert", required=True)
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("tverberg", help="solve for a Tverberg partition")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None, help="recorded in the report; the solver is deterministic")
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("depthmap", help="SVG depth map of a planar arrangement")
-    sp.add_argument("--measure", choices=["rd", "rd-open", "trd"], default="rd")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--deepest", action="store_true", help="mark a deepest point")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("transversal", help="planar center transversal of two arrangements")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("oracle", help="cross-check the engine against the direction oracle and the dual measures")
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=16)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("gen", help="generate a seeded instance")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--profile", choices=["generic", "weighted"], default="generic")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("axioms", help="run the axiom suite for a measure")
-    sp.add_argument("--kind", choices=["rd", "rd-open", "trd", "htvd", "hed"], required=True)
-    sp.add_argument("--query", required=True)
-    sp.add_argument("--trials", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("file")
-    sp.add_argument("--out")
-
+    for name, (text, arguments) in _COMMANDS.items():
+        if only is None or name == only:
+            sp = sub.add_parser(name, help=text)
+            for flag, options in arguments:
+                sp.add_argument(flag, **options)
     return p
+
+
+def _parser_for(argv):
+    """The parser of the one subcommand argv runs, or the full parser.
+
+    The subcommand is the first token after any ``--timing`` flags. When
+    that token names a subcommand, the rest of argv is parsed by its own
+    parser, which is built exactly as in the full one, so the result,
+    message and exit code are the same. Anything else (no subcommand, an
+    unknown one, other top-level options) gets the full parser, whose help
+    and errors list every subcommand.
+    """
+    i = 0
+    while i < len(argv) and argv[i] == "--timing":
+        i += 1
+    return build_parser(argv[i] if i < len(argv) and argv[i] in _COMMANDS else None)
 
 
 def cross_check(arr, q):
@@ -390,7 +412,8 @@ _HANDLERS = {
 
 def run(argv):
     """Dispatch a CLI invocation; returns (exit code, report dict or None)."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser_for(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

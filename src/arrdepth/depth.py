@@ -18,6 +18,12 @@ are not all 1 (`Arrangement.weight_tables`, integers over one common
 denominator). `directional_count`, `count_both` and `oracle_depth` keep the
 per-hyperplane Fraction loop, `_count_signs`, as the independent path the
 tests compare against.
+
+RD, RD' and TRD read q's masks from the arrangement's query slot
+(`Arrangement._query`), and RD keeps its value and certificate there, so at
+one q the masks and RD are computed once; TRD is min(w(A)/(d+1), RD) on
+that RD. Scans over many points (`deepest_point`, the planar labels) use
+the plain masks and leave the slot alone.
 """
 
 import random
@@ -28,7 +34,7 @@ from itertools import combinations
 from . import linalg
 from .cells import candidate_points, direction_cells
 from .errors import DimensionError, InvalidDirection, NoDeepPoint
-from .geometry import point, record
+from .geometry import SLOT_RD, point, record
 
 
 class MeasureKind(Enum):
@@ -152,11 +158,19 @@ def _min_count(arr, pos, neg, rule):
     return Fraction(best, arr.weight_tables[0]), arr.direction_cells[0][counts.index(best)]
 
 
-def _query_masks(arr, q):
+def _masks_at(arr, q):
     """Residual signs of q as (pos, neg) bitmasks; (0, 0) on an empty arrangement, whatever q is."""
     if not arr.hyperplanes:
         return 0, 0
     pos, zero = arr.sign_masks(q)
+    return pos, ((1 << len(arr.hyperplanes)) - 1) & ~(pos | zero)
+
+
+def _query_masks(arr, q):
+    """`_masks_at` read from the arrangement's query slot (`Arrangement._query`)."""
+    if not arr.hyperplanes:
+        return 0, 0
+    _, pos, zero = arr._query(q)[:3]
     return pos, ((1 << len(arr.hyperplanes)) - 1) & ~(pos | zero)
 
 
@@ -183,8 +197,13 @@ def _depth_at_masks(arr, pos, neg, kind):
 
 
 def regression_depth(arr, q):
-    """Exact weighted regression depth with a witness direction."""
-    return _depth_at_masks(arr, *_query_masks(arr, q), _RD)
+    """Exact weighted regression depth with a witness direction, kept in the arrangement's query slot for q."""
+    if not arr.hyperplanes:
+        return _depth_at_masks(arr, 0, 0, _RD)
+    slot = arr._query(q)
+    if slot[SLOT_RD] is None:
+        return arr._keep(slot, SLOT_RD, _depth_at_masks(arr, *_query_masks(arr, q), _RD))
+    return slot[SLOT_RD]
 
 
 def _new_perturbed_cells(circuits, m):
@@ -223,10 +242,20 @@ def open_regression_depth(arr, q):
 
 
 def _open_depth(arr, pos, neg):
-    """`open_regression_depth` of a nonempty arrangement, from the residual sign masks."""
+    """`open_regression_depth` of a nonempty arrangement, from the residual sign masks.
+
+    One incident normal has no circuit, and two have one only when they are
+    parallel. Two hyperplanes through one point are parallel only when they
+    coincide, and then their canonical normals are equal. So the circuits
+    are computed only for three or more incident normals, or two equal ones.
+    """
     zero = ((1 << len(arr)) - 1) & ~(pos | neg)
     on_idx = [i for i in range(len(arr)) if zero >> i & 1]
-    circuits = linalg.signed_circuits([arr[i].normal for i in on_idx])
+    normals = [arr.int_rows[i][0] for i in on_idx]
+    if len(normals) > 2 or (len(normals) == 2 and normals[0] == normals[1]):
+        circuits = linalg.signed_circuits(normals)
+    else:
+        circuits = ()
     if not circuits:
         best, u = _min_count(arr, pos, neg, "open")
         return best, DepthCertificate(u, best, "open")
@@ -245,8 +274,8 @@ def _open_depth(arr, pos, neg):
 
 
 def truncated_regression_depth(arr, q):
-    """TRD = min(total weight / (d+1), regression depth)."""
-    return _depth_at_masks(arr, *_query_masks(arr, q), _TRD)[0]
+    """TRD = min(total weight / (d+1), regression depth), with RD read from the query slot."""
+    return min(arr.total_weight / (arr.dimension + 1), regression_depth(arr, q)[0])
 
 
 def oracle_depth(arr, q, samples=32, seed=0):
@@ -363,8 +392,8 @@ def deepest_point(arr):
     best_val = None
     best_pt = None
     best_cert = None
-    for p in candidate_points(arr):
-        val, cert = regression_depth(arr, p)
+    for p in candidate_points(arr):  # a scan, so the plain masks: the query slot stays with the caller's q
+        val, cert = _depth_at_masks(arr, *_masks_at(arr, p), _RD)
         if best_val is None or val > best_val or (val == best_val and p < best_pt):
             best_val, best_pt, best_cert = val, p, cert
     return best_pt, best_val, best_cert

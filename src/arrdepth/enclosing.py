@@ -4,13 +4,16 @@ A sub-arrangement k-encloses q when it splits into d+1 disjoint groups of
 size k such that every transversal (one hyperplane per group) gives q
 positive regression depth, which is exactly convex-hull membership of q in
 the transversal's dual points. Validity of a transversal therefore depends
-only on the underlying (d+1)-set. For an arrangement the valid sets are read
-once per query from the residual signs and the signed circuits of the
-normals (`tverberg.coverable_pieces`); for a point set they are found by
-exact hull tests. The search then builds groups so that each group is
-drawn from the indices that still complete every partial transversal
-through the groups chosen so far to a valid set, and cuts a partial choice
-as soon as too few such indices remain to fill the groups left.
+only on the underlying (d+1)-set. For an arrangement a (d+1)-set is valid
+when it contains a coverable piece, read from the residual signs and the
+signed circuits of the normals (`tverberg.coverable_pieces`, kept in the
+arrangement's query slot with their packing size, which caps the search);
+for a point set the valid sets are found by exact hull tests. The search
+then builds groups so that each group is drawn from the indices that still
+complete every partial transversal through the groups chosen so far to a
+valid set, and cuts a partial choice as soon as too few such indices remain
+to fill the groups left. Those indices are read from the pieces on demand,
+so neither the valid sets nor their subsets are listed.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from itertools import combinations, product
 from . import linalg, linprog
 from .errors import CertificateError, ExactBudgetExceeded
 from .geometry import Arrangement, evaluate, point, record
-from .tverberg import coverable_pieces, max_packing
+from .tverberg import _packing_size, coverable_pieces
 
 
 @record
@@ -80,31 +83,69 @@ def verify_enclosure(arr: Arrangement, cert: EnclosureCertificate, strict=False)
     return True
 
 
-def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
+def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
     """Largest k admitting d+1 disjoint k-groups with all transversals valid.
 
-    `valid` is the set of valid (d+1)-sets, as bitmasks. Groups are
-    enumerated with the smallest-first canonical order; the final group is
-    the first k indices compatible with all transversals through the chosen
-    groups. For every proper subset m of a valid set, reach[m] is the union
-    of v - m over the valid sets v containing m. Every index of a later group
-    completes each partial transversal m through the chosen groups to a valid
-    set, so it lies in the candidate set C = unused ∩ reach[m] over all m. A
-    node whose C holds fewer than the (d+1-j)k indices still to place (j
-    groups chosen) has no solution and is cut, and the next group is drawn
-    from C only. A child's C is computed in its parent, so a cut node is
-    never entered. Only subtrees without a solution are dropped, so the first
-    certificate found is the one the unpruned depth-first search finds, and
-    the nodes visited are a subset of its nodes.
+    A (d+1)-set is valid when it contains one of ``pieces`` (bitmasks of at
+    most d+1 indices, n >= d+1). Groups are enumerated with the
+    smallest-first canonical order; the final group is the first k indices
+    compatible with all transversals through the chosen groups. For a set m
+    of at most d indices, reach(m) is the union of v - m over the valid sets
+    v containing m. Every index of a later group completes each partial
+    transversal m through the chosen groups to a valid set, so it lies in
+    the candidate set C = unused ∩ reach(m) over all m. A node whose C holds
+    fewer than the (d+1-j)k indices still to place (j groups chosen) has no
+    solution and is cut, and the next group is drawn from C only. A child's
+    C is computed in its parent, so a cut node is never entered. A child's C
+    lies in through(h) = C ∩ reach(m ∪ {h}) over the partial transversals m,
+    for each index h of its group; so only indices whose own through(h) holds
+    as many indices as are still to place can form a group, and a node with
+    fewer than k of them has no child and lists no group. Only subtrees without a
+    solution are dropped, so the first certificate found is the one the
+    unpruned depth-first search finds, and the nodes visited are a subset of
+    its nodes.
+
+    reach(m) is read from the pieces when the search first asks for it, and
+    kept for the rest of the search. It is every index outside m when some
+    piece p has |m ∪ p| <= d, and otherwise the union of p - m over the
+    pieces p with |m ∪ p| = d+1. Proof: in the first case m ∪ p ∪ {h},
+    padded to d+1 indices, is valid for every h outside m. Otherwise a valid
+    v ⊇ m contains a piece p with d+1 = |v| >= |m ∪ p| > d, so v = m ∪ p.
+    Passing only (d+1)-sets as pieces makes them the valid sets themselves,
+    as for strict enclosure and for point sets.
     """
-    reach = {}
-    for v in valid:
-        m = (v - 1) & v
-        while True:
-            reach[m] = reach.get(m, 0) | (v & ~m)
-            if not m:
+    outside = (1 << n) - 1
+    small = [p for p in pieces if p.bit_count() <= d]
+    # A (d+1)-piece p has |m ∪ p| = d+1 only when it contains m, so only those
+    # holding m's lowest index are read. The keys are the indices, as single bits.
+    through_low = {}
+    for p in pieces:
+        if p.bit_count() == d + 1:
+            rest = p
+            while rest:
+                low = rest & -rest
+                through_low.setdefault(low, []).append(p)
+                rest ^= low
+    reach = {0: outside if small else sum(through_low)}
+
+    def reach_of(m):
+        r = 0
+        for p in small:
+            size = (m | p).bit_count()
+            if size <= d:
+                r = outside
                 break
-            m = (m - 1) & v
+            if size == d + 1:
+                r |= p
+        else:
+            for p in through_low.get(m & -m, ()):
+                if p & m == m:
+                    r |= p
+        r &= ~m
+        reach[m] = r
+        return r
+
+    get = reach.get
     nodes = 0
     best = 0
 
@@ -114,38 +155,48 @@ def _search_max_k(n, d, valid, k_cap, node_budget=2_000_000):
         nodes += 1
         if nodes > node_budget:
             raise ExactBudgetExceeded("enclosure search budget exhausted", bound=best)
-        allowed = [h for h in range(n) if cand >> h & 1]
         if len(chosen) == d:
-            return chosen + (tuple(allowed[:k]),)
+            return chosen + (tuple([h for h in range(n) if cand >> h & 1][:k]),)
         need = (d - len(chosen)) * k  # indices still to place after the next group
         start = chosen[-1][0] + 1 if chosen else 0
-        allowed = [h for h in allowed if h >= start]
-        # through[h]: C of the partial transversals extended by h; a child's C is
-        # the intersection of through[h] over the indices h of its group.
+        # through[h]: C of the partial transversals extended by h. A child's C is
+        # the intersection of through[h] over the indices h of its group, so only
+        # an h whose through[h] still holds `need` indices can be in a group.
         through = {}
-        for h in allowed:
+        viable = []
+        rest = cand >> start << start  # the candidates from start on
+        spare = rest.bit_count() - k  # how many of them may fail with a group still possible
+        if spare < 0:
+            return None
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             r = cand
             for m in partial:
-                r &= reach.get(m | 1 << h, 0)
-            through[h] = r
-        for pos, first in enumerate(allowed):
-            if through[first].bit_count() < need:
-                continue
-            for tail in combinations(allowed[pos + 1 :], k - 1):
-                group = (first,) + tail
-                child = through[first]
-                for h in tail:
-                    child &= through[h]
-                if child.bit_count() < need:
-                    continue
+                m |= bit
+                got = get(m)
+                r &= reach_of(m) if got is None else got
+            if r.bit_count() >= need:
+                h = bit.bit_length() - 1
+                through[h] = r
+                viable.append(h)
+            elif not spare:
+                return None
+            else:
+                spare -= 1
+        for group in combinations(viable, k):
+            child = cand
+            for h in group:
+                child &= through[h]
+            if child.bit_count() >= need:
                 bits = [1 << h for h in group]
                 result = extend(chosen + (group,), [m | b for m in partial for b in bits], child, k)
                 if result is not None:
                     return result
         return None
 
+    cand = reach[0]
     for k in range(k_cap, 0, -1):
-        cand = reach.get(0, 0)
         if cand.bit_count() < (d + 1) * k:
             continue
         found = extend(tuple(), [0], cand, k)
@@ -163,7 +214,8 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     simplex of its dual points) iff it is itself a piece, which is then a
     circuit free of incident hyperplanes. The k diagonal transversals of a
     k-enclosure are disjoint coverable sets, so the search starts at
-    min(n // (d+1), HTvD). Exact for n <= exact_threshold and d <= 3; larger
+    min(n // (d+1), HTvD), with the pieces and HTvD read from the query slot
+    for q (`Arrangement._query`). Exact for n <= exact_threshold and d <= 3; larger
     instances raise ExactBudgetExceeded carrying the lower bound 1 when some
     (d+1)-set is valid, else 0.
     """
@@ -179,14 +231,8 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
         raise ExactBudgetExceeded(f"n={n}, d={d} exceeds the exact enclosing-depth budget", bound=bound)
 
     if strict:
-        valid = {p for p in pieces if p.bit_count() == d + 1}
-    else:
-        valid = set()
-        for piece in pieces:
-            rest = [h for h in range(n) if not piece >> h & 1]
-            for extra in combinations(rest, d + 1 - piece.bit_count()):
-                valid.add(piece | sum(1 << h for h in extra))
-    k, groups = _search_max_k(n, d, valid, min(n // (d + 1), len(max_packing(pieces))))
+        pieces = [p for p in pieces if p.bit_count() == d + 1]
+    k, groups = _search_max_k(n, d, pieces, min(n // (d + 1), _packing_size(arr, q)))
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)

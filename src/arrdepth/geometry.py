@@ -36,6 +36,8 @@ def frac_str(value: Fraction) -> str:
 
 
 def point(coords) -> Point:
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords  # a point already: every measure of a query converts it, so keep that cheap
     return tuple(frac(c) for c in coords)
 
 
@@ -172,6 +174,10 @@ def hyperplane(normal, offset, weight=1) -> Hyperplane:
     return Hyperplane(point(normal), frac(offset), frac(weight))
 
 
+# Entries of `Arrangement._query`'s slot that a measure fills in.
+SLOT_PIECES, SLOT_PACKING, SLOT_RD = 3, 4, 5
+
+
 @record
 class Arrangement:
     """A weighted arrangement: an ordered list of hyperplanes in R^d."""
@@ -196,7 +202,7 @@ class Arrangement:
     def __getitem__(self, i):
         return self.hyperplanes[i]
 
-    @property
+    @cached_property
     def total_weight(self) -> Fraction:
         return sum((h.weight for h in self.hyperplanes), Fraction(0))
 
@@ -207,7 +213,7 @@ class Arrangement:
         Computed on first use and kept with the arrangement; see
         `linalg.signed_circuits`.
         """
-        return linalg.signed_circuits([h.normal for h in self.hyperplanes])
+        return linalg.signed_circuits([a for a, _ in self.int_rows])
 
     @cached_property
     def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -278,6 +284,37 @@ class Arrangement:
             elif s == 0:
                 zero |= 1 << i
         return pos, zero
+
+    def _query(self, q) -> tuple:
+        """The arrangement's one-query slot, holding q: (q, pos, zero, pieces, packing, rd).
+
+        q is the `point` tuple and (pos, zero) are its `sign_masks`. The
+        other entries are None until a measure fills them in with `_keep`:
+        q's coverable pieces (`tverberg.coverable_pieces`), the size of their
+        maximum packing, and RD with its certificate. The per-query measures
+        read them here, so a request that evaluates RD, RD', TRD, HTvD and
+        HED at one q computes each once. The slot is one immutable tuple,
+        replaced whole when another q comes: it holds one query at a time,
+        and a reader checks q on the tuple it read, so threads that share the
+        arrangement never see another query's values. `sign_masks` does not
+        touch it.
+        """
+        q = point(q)
+        slot = self.__dict__.get("_slot")
+        if slot is None or slot[0] != q:
+            slot = (q, *self.sign_masks(q), None, None, None)
+            object.__setattr__(self, "_slot", slot)
+        return slot
+
+    def _keep(self, slot, field, value):
+        """Make the query slot ``slot`` with entry ``field`` set to value, and return value.
+
+        The new slot is built from the one the caller read, so it never
+        mixes two queries. A slot another thread stored meanwhile is
+        replaced, and what it held is computed again when asked for.
+        """
+        object.__setattr__(self, "_slot", slot[:field] + (value,) + slot[field + 1 :])
+        return value
 
     def subset(self, indices) -> "Arrangement":
         return Arrangement(self.dimension, tuple(self.hyperplanes[i] for i in indices))

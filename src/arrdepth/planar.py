@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .cells import _angle_cmp, enumerate_faces
-from .depth import MeasureKind, _depth_at_masks
+from .depth import MeasureKind, _depth_at_masks, _masks_at
 from .errors import DimensionError
 from .geometry import Arrangement, record
 
@@ -68,7 +68,7 @@ class PlanarSubdivision:
         pts += [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
         # a vertex is its own corner; dict.fromkeys drops a box corner that is also a line's box point
         corners = [(f.rep, f.pos, f.neg) for f in self.vertices]
-        return corners + [(p, *_masks(self.arrangement, p)) for p in dict.fromkeys(pts)]
+        return corners + [(p, *_masks_at(self.arrangement, p)) for p in dict.fromkeys(pts)]
 
     @cached_property
     def polygons(self):
@@ -121,12 +121,6 @@ class PlanarSubdivision:
 def incident(lower, upper):
     """True iff the lower-dimensional face lies in the closure of the other."""
     return lower.dim < upper.dim and lower.pos & upper.pos == lower.pos and lower.neg & upper.neg == lower.neg
-
-
-def _masks(arr, p):
-    """Residual signs of p as (pos, neg) bitmasks."""
-    pos, zero = arr.sign_masks(p)
-    return pos, ((1 << len(arr)) - 1) & ~(pos | zero)
 
 
 def _over_one_den(p):
@@ -221,7 +215,7 @@ def label_depth(sub: PlanarSubdivision, arr: Arrangement, measure) -> DepthTable
     if arr.int_rows == sub.arrangement.int_rows:
         masks = [(f.pos, f.neg) for f in sub.faces]
     else:
-        masks = [_masks(arr, f.rep) for f in sub.faces]
+        masks = [_masks_at(arr, f.rep) for f in sub.faces]
     values = {f.index: _depth_at_masks(arr, pos, neg, measure)[0] for f, (pos, neg) in zip(sub.faces, masks)}
     return DepthTable(measure, values)
 

@@ -8,7 +8,9 @@ a signed circuit of the normals whose signs match the residual signs of q.
 The test is monotone under adding hyperplanes, so q carries a partition
 into r parts of depth >= 1 exactly when r disjoint pieces exist at q
 (`max_packing`), and the hyperplane Tverberg depth of q is the size of a
-maximum packing.
+maximum packing. The pieces and the packing size are kept in the
+arrangement's query slot for q (`Arrangement._query`), where the enclosing
+depth at the same q reads them.
 
 `solve_tverberg` turns this into a constructive solver. For a fixed
 partition the points where every part has depth >= 1 form a closed union of
@@ -23,7 +25,7 @@ from . import linprog
 from .cells import candidate_points
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
-from .geometry import point, record
+from .geometry import SLOT_PACKING, SLOT_PIECES, point, record
 
 
 @record
@@ -91,7 +93,7 @@ def solve_tverberg(arr, r, seed=0):
     core = arr.subset(range(min(n, r * (arr.dimension + 1))))
     for sub in (core, arr) if len(core) < n else (arr,):
         for q in candidate_points(sub):
-            pieces = max_packing(coverable_pieces(sub, q))
+            pieces = max_packing(_pieces(sub, *sub.sign_masks(q)))  # plain masks: a scan keeps no slot
             if len(pieces) < r:
                 continue
             parts = [[i for i in range(n) if piece >> i & 1] for piece in pieces[:r]]
@@ -115,8 +117,15 @@ def _good_pieces(n, d, contains):
     ]
 
 
+def _pieces(arr, pos, zero):
+    """`coverable_pieces` at a point whose residual signs are the bitmasks (pos, zero)."""
+    pieces = [1 << i for i in range(len(arr)) if zero >> i & 1]
+    pieces += [supp for supp, plus in arr.circuits if not supp & zero and plus == supp & pos]
+    return pieces
+
+
 def coverable_pieces(arr, q):
-    """Minimal sets of hyperplanes whose dual points have q in their convex hull, as bitmasks.
+    """Minimal sets of hyperplanes whose dual points have q in their convex hull, as a tuple of bitmasks.
 
     The dual point of h is q - (s_h/|a_h|^2) a_h, with residual s_h = a_h.q - b_h,
     so q lies in the hull of S's dual points iff some h in S has s_h = 0, or
@@ -125,11 +134,24 @@ def coverable_pieces(arr, q):
     residual signs. The minimal coverable sets are therefore the singletons
     {h} with s_h = 0 and the circuit supports free of them whose positive part
     is exactly their set of positive residuals.
+
+    The pieces are kept in the arrangement's query slot for q
+    (`Arrangement._query`), so HTvD and HED at one q find them once.
     """
-    pos, zero = arr.sign_masks(q)
-    pieces = [1 << i for i in range(len(arr)) if zero >> i & 1]
-    pieces += [supp for supp, plus in arr.circuits if not supp & zero and plus == supp & pos]
+    slot = arr._query(q)
+    pieces = slot[SLOT_PIECES]
+    if pieces is None:
+        pieces = arr._keep(slot, SLOT_PIECES, tuple(_pieces(arr, slot[1], slot[2])))
     return pieces
+
+
+def _packing_size(arr, q):
+    """The size of a maximum packing of q's coverable pieces, kept in the query slot for q."""
+    pieces = coverable_pieces(arr, q)
+    slot = arr._query(q)  # read after the pieces are in it
+    if slot[SLOT_PACKING] is None:
+        return arr._keep(slot, SLOT_PACKING, len(max_packing(pieces)))
+    return slot[SLOT_PACKING]
 
 
 def max_packing(pieces):
@@ -180,7 +202,8 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     monotone under adding hyperplanes; the maximum over partitions therefore
     equals the maximum number of disjoint minimal coverable sets. Those are
     read from the residual signs of q and the cached signed circuits of the
-    normals (`coverable_pieces`), and packed exactly by `max_packing`. Beyond
+    normals (`coverable_pieces`), and packed exactly by `max_packing`; the
+    pieces and the packing size stay in the query slot for HED. Beyond
     the exact threshold the raised ExactBudgetExceeded carries a greedy lower
     bound: pieces taken smallest first, then in lexicographic order, when
     disjoint from those already taken.
@@ -197,7 +220,7 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
                 used |= piece
                 bound += 1
         raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=bound)
-    return len(max_packing(pieces))
+    return _packing_size(arr, q)
 
 
 def tverberg_point_depth(points, q, exact_threshold=12):

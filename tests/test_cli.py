@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import arrdepth
+from arrdepth import cli
 from arrdepth.cli import cross_check, run
 from arrdepth.geometry import dump_json, generate_instance, triangle
 
@@ -174,6 +175,57 @@ def test_axioms_cli(tri_file):
 def test_usage_error_exit_1():
     code, rep = run(["depth", "--no-such-flag", "x"])
     assert code == 1 and rep is None
+
+
+# Invocations whose parse must not depend on how many subcommands the parser holds.
+PARSE_CASES = [
+    [], ["--help"], ["-h"], ["--timing"], ["bogus"], ["--timing", "bogus", "x"], ["-1", "depth"], ["--", "depth"],
+    ["--tim", "depth", "--query", "0,0", "f"], ["--timing", "--timing", "htvd", "--query", "1", "f"],
+    ["depth", "--query", "0,0", "f"], ["depth", "--measure", "trd", "--query", "-1,2", "f", "--out", "o"],
+    ["depth", "--measure", "bad", "--query", "0,0", "f"], ["depth", "f"], ["depth", "--no-such-flag", "x"],
+    ["depth", "--query", "0,0", "f", "extra"], ["deepest", "f", "--timing"],
+    ["htvd", "--query", "0", "--exact-threshold", "x", "f"], ["hed", "--query", "0,0", "--strict", "f"],
+    ["hed-verify", "f"], ["tverberg", "--r", "2", "f"], ["tverberg", "--r", "2"], ["depthmap", "--deepest", "f"],
+    ["depthmap", "--out", "o.svg", "--measure", "rd-open", "f"], ["transversal", "a"],
+    ["oracle", "--trials", "3", "--d", "2"], ["gen", "--seed", "1", "--d", "2"],
+    ["gen", "--seed", "1", "--d", "2", "--n", "5"], ["axioms", "--kind", "hed", "--query", "0,0", "f"],
+    ["axioms", "--kind", "xx", "--query", "0,0", "f"],
+] + [[name, "--help"] for name in cli._COMMANDS] + [[name] for name in cli._COMMANDS]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        result = ("parsed", sorted(vars(parser.parse_args(argv)).items()))
+    except cli.UsageError as exc:
+        result = ("usage error", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_one_subcommand_parser_parses_as_the_full_parser(capsys):
+    for argv in PARSE_CASES:
+        full = _parse_outcome(cli.build_parser(), argv, capsys)
+        assert _parse_outcome(cli._parser_for(argv), argv, capsys) == full, argv
+    (subcommands,) = [a for a in cli._parser_for(["gen"])._actions if a.dest == "command"]
+    assert list(subcommands.choices) == ["gen"]  # a process builds the one parser it runs
+    (subcommands,) = [a for a in cli._parser_for(["--help"])._actions if a.dest == "command"]
+    assert list(subcommands.choices) == list(cli._COMMANDS)
+
+
+def test_usage_errors_keep_their_text_and_exit_code(monkeypatch, capsys):
+    failing = [[], ["bogus"], ["--timing"], ["depth", "f"], ["hed", "--query", "0,0"], ["gen", "--seed", "x"]]
+    for argv in failing:
+        assert run(argv) == (1, None), argv
+        err = capsys.readouterr().err
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+            assert run(argv) == (1, None)
+        assert capsys.readouterr().err == err and err.startswith("error: "), argv
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0 and "depthmap" in capsys.readouterr().out
 
 
 def test_missing_file_exit_1():

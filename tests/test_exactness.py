@@ -8,6 +8,10 @@ a rational) and `planar._fmt` (which formats an SVG coordinate) may use one.
 A second scan keeps generated code out of the package: no module imports
 `dataclasses` (whose classes are built by `exec` of generated source at
 import), and none calls `exec` or `eval`. Records use `geometry.record`.
+
+A third scan keeps module-global mutable caches out: no function changes a
+module-level name. Per-arrangement results live on the arrangement (its
+cached properties and its query slot), per-call ones in locals.
 """
 
 import ast
@@ -84,4 +88,80 @@ def test_no_dataclasses_exec_or_eval_in_the_package():
     for path in sorted(package.glob("*.py")):
         for what, line in _generated_code_uses(ast.parse(path.read_text())):
             offending.append(f"{path.name}:{line} {what}")
+    assert offending == []
+
+
+# Methods that change their container in place.
+MUTATORS = {"append", "extend", "insert", "remove", "update", "setdefault", "add", "discard", "clear", "pop", "popitem"}
+
+
+def _root(node):
+    """The name an attribute or subscript chain starts from (x for x.a[1].b)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node
+
+
+def _module_mutations(tree):
+    """(function, line) of every `global` statement in a function, and of every item or
+    attribute assignment, deletion and mutating method call there on a module-level name
+    that the function does not bind itself."""
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module_names.add(node.name)
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                module_names.update((a.asname or a.name).split(".")[0] for a in sub.names)
+            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                module_names.add(sub.id)
+
+    def functions(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+            elif isinstance(child, ast.ClassDef):
+                yield from functions(child)
+
+    found = []
+    for func in functions(tree):
+        nodes = list(ast.walk(func))
+        local = {n.arg for n in nodes if isinstance(n, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del))}
+        for node in nodes:
+            if isinstance(node, ast.Global):
+                found.append((func.name, node.lineno))
+                continue
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = _root(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                target = _root(node.func.value)
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names and target.id not in local:
+                found.append((func.name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_scanner_sees_module_mutations():
+    src = (
+        "import json\nCACHE = {}\nSEEN = []\nif True:\n    TABLE = [[0]]\n\n"
+        "def f(a):\n    CACHE[a] = 1\n    SEEN.append(a)\n    CACHE.setdefault(a, 2)\n"  # lines 8-10
+        "    json.cache = a\n    TABLE[0][0] = a\n    del CACHE[a]\n"  # lines 11-13
+        "def g(CACHE):\n    CACHE[1] = 2\n    memo = {}\n    memo.update(x=1)\n    return SEEN.count(1)\n"
+        "class C:\n    def m(self):\n        global Z\n        Z = 1\n"  # line 21
+        "        def inner():\n            SEEN.clear()\n            TABLE.pop()\n            CACHE.add(1)\n"  # 24-26
+    )
+    assert _module_mutations(ast.parse(src)) == [
+        ("f", 8), ("f", 9), ("f", 10), ("f", 11), ("f", 12), ("f", 13), ("m", 21), ("m", 24), ("m", 25), ("m", 26)
+    ]
+
+
+def test_no_module_level_state_changes_in_the_package():
+    package = Path(arrdepth.__file__).parent
+    offending = []
+    for path in sorted(package.glob("*.py")):
+        for func, line in _module_mutations(ast.parse(path.read_text())):
+            offending.append(f"{path.name}:{line} in {func}")
     assert offending == []

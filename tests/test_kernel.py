@@ -2,10 +2,12 @@
 
 RD and RD' count, for every direction cell, the weight of the hyperplanes
 selected by a bitmask formula over the residual and cell sign masks; HED
-prunes its enclosure search with reach sets; HTvD packs pieces by a memoized
-recursion. Each is checked here against the plain loop it replaced: the
-per-hyperplane Fraction count (`depth._count_signs`), the unpruned
-enclosure search and the full subset DP, the last two kept below as oracles.
+prunes its enclosure search with reach sets read from the pieces on demand;
+HTvD packs pieces by a memoized recursion. Each is checked here against the
+plain loop it replaced: the per-hyperplane Fraction count
+(`depth._count_signs`), the unpruned enclosure search, the search over
+materialised valid sets and reach maps, and the full subset DP, the last
+three kept below as oracles.
 """
 
 import random
@@ -19,7 +21,7 @@ from arrdepth.depth import _count_signs, _min_count, _new_perturbed_cells, _sign
 from arrdepth.enclosing import _search_max_k
 from arrdepth.errors import ExactBudgetExceeded
 from arrdepth.geometry import Arrangement, generate_instance, hyperplane
-from arrdepth.tverberg import max_packing
+from arrdepth.tverberg import _pieces, max_packing
 
 
 def _normal(rng, d):
@@ -185,6 +187,112 @@ def test_pruned_enclosure_search_matches_unpruned():
     assert found >= 30
     with pytest.raises(ExactBudgetExceeded):
         _search_max_k(6, 2, {0b111}, 2, node_budget=0)
+
+
+def _materialised_search(n, d, valid, k_cap):
+    """The enclosure search with reach[m] built up front for every proper subset m of a valid set.
+
+    `valid` is the set of valid (d+1)-sets, as bitmasks; reach[m] is the
+    union of v - m over the valid sets v containing m. Returns (k, groups,
+    nodes visited). This was the package's search before reach was read
+    from the pieces on demand.
+    """
+    reach = {}
+    for v in valid:
+        m = (v - 1) & v
+        while True:
+            reach[m] = reach.get(m, 0) | (v & ~m)
+            if not m:
+                break
+            m = (m - 1) & v
+    nodes = 0
+
+    def extend(chosen, partial, cand, k):
+        nonlocal nodes
+        nodes += 1
+        allowed = [h for h in range(n) if cand >> h & 1]
+        if len(chosen) == d:
+            return chosen + (tuple(allowed[:k]),)
+        need = (d - len(chosen)) * k
+        start = chosen[-1][0] + 1 if chosen else 0
+        allowed = [h for h in allowed if h >= start]
+        through = {}
+        for h in allowed:
+            r = cand
+            for m in partial:
+                r &= reach.get(m | 1 << h, 0)
+            through[h] = r
+        for pos, first in enumerate(allowed):
+            if through[first].bit_count() < need:
+                continue
+            for tail in combinations(allowed[pos + 1 :], k - 1):
+                group = (first,) + tail
+                child = through[first]
+                for h in tail:
+                    child &= through[h]
+                if child.bit_count() < need:
+                    continue
+                bits = [1 << h for h in group]
+                result = extend(chosen + (group,), [m | b for m in partial for b in bits], child, k)
+                if result is not None:
+                    return result
+        return None
+
+    for k in range(k_cap, 0, -1):
+        cand = reach.get(0, 0)
+        if cand.bit_count() < (d + 1) * k:
+            continue
+        found = extend(tuple(), [0], cand, k)
+        if found is not None:
+            return k, found, nodes
+    return 0, None, nodes
+
+
+def _valid_sets(n, d, pieces):
+    """The (d+1)-sets that contain a piece."""
+    valid = set()
+    for piece in pieces:
+        rest = [h for h in range(n) if not piece >> h & 1]
+        for extra in combinations(rest, d + 1 - piece.bit_count()):
+            valid.add(piece | sum(1 << h for h in extra))
+    return valid
+
+
+def _assert_lazy_search_matches(n, d, pieces, k_cap):
+    """Same (k, groups) and exactly the same number of nodes as the materialised search."""
+    k, groups, nodes = _materialised_search(n, d, _valid_sets(n, d, pieces), k_cap)
+    assert _search_max_k(n, d, pieces, k_cap, node_budget=nodes) == (k, groups), (n, d, pieces)
+    if nodes:
+        with pytest.raises(ExactBudgetExceeded):
+            _search_max_k(n, d, pieces, k_cap, node_budget=nodes - 1)
+    return k
+
+
+def test_lazy_reach_search_matches_materialised_search():
+    """reach(m) read from the pieces gives the search over the valid sets they span, node for node."""
+    rng = random.Random("kernel:lazy-reach")
+    found = 0
+    for trial in range(160):
+        d = (2, 3)[trial % 2]
+        n = rng.randint(d + 1, 10 if d == 2 else 9)
+        if trial % 4 < 2:
+            pieces = sorted(_valid_family(rng, n, d))  # (d+1)-sets: strict enclosure and point sets
+        else:  # mixed sizes: a singleton or a small circuit makes many more sets valid
+            pieces = sorted({sum(1 << i for i in rng.sample(range(n), rng.randint(1, d + 1))) for _ in range(n)})
+        found += _assert_lazy_search_matches(n, d, pieces, n // (d + 1)) > 1
+    assert found >= 20
+    real = strict_found = 0
+    for arr, qs in _cases():
+        n, d = len(arr), arr.dimension
+        if not d + 1 <= n <= 12:
+            continue
+        for q in qs:
+            pieces = _pieces(arr, *arr.sign_masks(q))
+            k_cap = min(n // (d + 1), len(max_packing(pieces)))
+            real += _assert_lazy_search_matches(n, d, pieces, k_cap) > 0
+            strict = [p for p in pieces if p.bit_count() == d + 1]
+            strict_found += _assert_lazy_search_matches(n, d, strict, k_cap) > 0
+    assert real >= 20 and strict_found >= 10
 
 
 def _subset_dp_packing(n, pieces):

@@ -269,3 +269,18 @@ def test_cached_properties_are_kept_with_the_instance():
     assert sub.polygons is polygons and "polygons" in vars(sub)
     assert sub == planar.build_subdivision(tri)
     assert pickle.loads(pickle.dumps(sub)).polygons == polygons
+
+
+def test_query_slot_is_not_a_field():
+    """The query slot leaves ==, hash, repr, pickle and copy of an arrangement as they are."""
+    tri, fresh = triangle(), triangle()
+    assert depth.regression_depth(tri, (0, 0)) == depth.regression_depth(fresh, (0, 0))
+    enclosing.hyperplane_enclosing_depth(tri, (0, 0))
+    assert "_slot" in vars(tri)
+    assert tri == fresh and hash(tri) == hash(fresh) and repr(tri) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(tri)), copy.copy(tri), copy.deepcopy(tri)):
+        assert twin == tri and hash(twin) == hash(tri) and repr(twin) == repr(tri)
+        assert tverberg.hyperplane_tverberg_depth(twin, (9, 9)) == tverberg.hyperplane_tverberg_depth(fresh, (9, 9))
+        assert vars(twin)["_slot"][0] == (9, 9)
+    assert vars(tri)["_slot"][0] == (0, 0)  # each copy has its own slot
+    assert depth.regression_depth(tri, (0, 0)) == depth.regression_depth(fresh, (0, 0))
