@@ -278,13 +278,17 @@ def candidate_points(arr):
     partition has depth >= 1, so the deepest point and the existence of a
     Tverberg point are both decided on the candidates.
     """
-    d = arr.dimension
-    normals = [h.normal for h in arr]
-    if linalg.rank(normals) < d:
+    if linalg.rank([a for a, _ in arr.int_rows]) < arr.dimension:
         return [rep for _, rep, _ in enumerate_faces(arr)]
-    vertices = set()
-    for subset in combinations(range(len(arr)), d):
-        sol = linalg.solve([normals[i] for i in subset], [arr[i].offset for i in subset])
-        if sol is not None:
-            vertices.add(sol)
-    return sorted(vertices)
+    return sorted({v for _, v in subset_vertices(arr) if v is not None})
+
+
+def subset_vertices(arr):
+    """(subset, vertex) for every d-subset of the hyperplanes, in lexicographic order.
+
+    The vertex is the one point the subset's hyperplanes share, or None when
+    their normals are dependent.
+    """
+    rows = arr.int_rows
+    for subset in combinations(range(len(rows)), arr.dimension):
+        yield subset, linalg.solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])

@@ -206,19 +206,23 @@ def regression_depth(arr, q):
     return slot[SLOT_RD]
 
 
-def _new_perturbed_cells(circuits, m):
-    """Sign patterns on m incident hyperplanes whose cell the perturbation creates.
+def _new_perturbed_cells(circuits, zero):
+    """Sign patterns on the incident hyperplanes ``zero`` whose cell the perturbation creates.
 
-    ``circuits`` are the signed circuits of the incident normals, in order of
-    hyperplane index; a pattern is a bitmask with bit j set for sigma_j = +1.
-    Yields, in increasing order, the patterns whose open cone is empty (some
-    circuit conforms) and whose perturbed cell is not (no conforming circuit
-    is positive at its lowest index).
+    ``circuits`` are the signed circuits of the incident normals; a pattern
+    is the submask of ``zero`` of the hyperplanes with sigma_h = +1. Yields,
+    in increasing order, the patterns whose open cone is empty (some circuit
+    conforms) and whose perturbed cell is not (no conforming circuit is
+    positive at its lowest index).
     """
-    for bits in range(2**m):
+    bits = 0
+    while True:
         conforming = [(supp, plus) for supp, plus in circuits if plus == supp & bits]
         if conforming and not any(plus & supp & -supp for supp, plus in conforming):
             yield bits
+        if bits == zero:
+            return
+        bits = (bits - zero) & zero  # the next submask of zero
 
 
 def open_regression_depth(arr, q):
@@ -245,15 +249,15 @@ def _open_depth(arr, pos, neg):
     """`open_regression_depth` of a nonempty arrangement, from the residual sign masks.
 
     One incident normal has no circuit, and two have one only when they are
-    parallel. Two hyperplanes through one point are parallel only when they
-    coincide, and then their canonical normals are equal. So the circuits
-    are computed only for three or more incident normals, or two equal ones.
+    parallel, which for two hyperplanes through one point means equal
+    canonical normals. So circuits are found, among the incident normals
+    alone, only for three or more of them, or two equal ones.
     """
     zero = ((1 << len(arr)) - 1) & ~(pos | neg)
-    on_idx = [i for i in range(len(arr)) if zero >> i & 1]
-    normals = [arr.int_rows[i][0] for i in on_idx]
-    if len(normals) > 2 or (len(normals) == 2 and normals[0] == normals[1]):
-        circuits = linalg.signed_circuits(normals)
+    rows = arr.int_rows
+    m = zero.bit_count()
+    if m > 2 or (m == 2 and rows[(zero & -zero).bit_length() - 1][0] == rows[zero.bit_length() - 1][0]):
+        circuits = linalg.signed_circuits([a for a, _ in rows], zero)
     else:
         circuits = ()
     if not circuits:
@@ -262,8 +266,7 @@ def _open_depth(arr, pos, neg):
 
     best = None
     best_u = None
-    for bits in _new_perturbed_cells(circuits, len(on_idx)):
-        plus = sum(1 << i for j, i in enumerate(on_idx) if bits >> j & 1)
+    for plus in _new_perturbed_cells(circuits, zero):
         val, u = _min_count(arr, pos | plus, neg | (zero & ~plus), "open")
         if best is None or val > best:
             best, best_u = val, u

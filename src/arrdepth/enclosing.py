@@ -41,11 +41,9 @@ def _strict_interior(points, q):
         return False
     base = pts[0]
     diffs = [linalg.vsub(p, base) for p in pts[1:]]
-    if linalg.rank(diffs) < d:
-        return False
     A = [[diffs[j][i] for j in range(d)] for i in range(d)]
     sol = linalg.solve(A, list(linalg.vsub(q, base)))
-    if sol is None:
+    if sol is None:  # the system is square: no unique solution means the points are affinely dependent
         return False
     lam0 = Fraction(1) - sum(sol)
     return lam0 > 0 and all(c > 0 for c in sol)

@@ -384,24 +384,27 @@ class GeneralPositionReport:
 
 
 def is_general_position(arr: Arrangement) -> GeneralPositionReport:
-    """Exact general-position test by rank computations.
+    """Exact general-position test, with the first failing subset as witness.
 
     Checks (a) every min(d, n) normals are linearly independent (rules out
     parallels and degenerate flats) and (b) no d+1 hyperplanes share a point.
+    For n >= d one pass over the d-subsets and their vertices decides both
+    (`cells.subset_vertices`). Once (a) holds, the hyperplanes through a
+    vertex are the union of the d-subsets that have it, and the first
+    concurrent (d+1)-subset is the least of their first d+1 over all vertices.
     """
-    from itertools import combinations
-
     d, n = arr.dimension, len(arr)
-    normals = [h.normal for h in arr]
-    k = min(d, n)
-    for idx in combinations(range(n), k):
-        if linalg.rank([normals[i] for i in idx]) < k:
-            return GeneralPositionReport(False, True, witness=idx)
-    for idx in combinations(range(n), d + 1):
-        mat = [normals[i] for i in idx]
-        rhs = [arr[i].offset for i in idx]
-        if linalg.solve_consistent(mat, rhs) is not None:
-            return GeneralPositionReport(True, False, witness=idx)
+    if n < d:  # no vertices: (a) alone, on all n normals
+        independent = linalg.rank([h.normal for h in arr]) == n
+        return GeneralPositionReport(independent, True, witness=None if independent else tuple(range(n)))
+    through = {}  # vertex -> the hyperplanes through it
+    for subset, vertex in cells.subset_vertices(arr):
+        if vertex is None:
+            return GeneralPositionReport(False, True, witness=subset)
+        through.setdefault(vertex, set()).update(subset)
+    concurrent = [tuple(sorted(idx)[: d + 1]) for idx in through.values() if len(idx) > d]
+    if concurrent:
+        return GeneralPositionReport(True, False, witness=min(concurrent))
     return GeneralPositionReport(True, True)
 
 

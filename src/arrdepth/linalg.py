@@ -1,11 +1,12 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices, by one integer elimination.
 
-Everything works on lists of lists / tuples of ``fractions.Fraction`` (plain
-ints are fine too, they coerce). Sizes here are tiny (d <= 4 or so per the
-desk-scale budgets), so `rank`, `solve`, `solve_consistent` and
-`kernel_vector` all read the reduced row echelon form from one Gauss-Jordan
-elimination. `integer_vector` is the one scaling of a rational vector to
-coprime integers; canonical hyperplanes and rays build on it.
+Entries are ints or `fractions.Fraction`s. Each row is scaled to coprime
+ints by `integer_vector`, and `_reduce` runs the one elimination of the
+package on them: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968).
+`rank`, `solve`, `solve_consistent`, `kernel_vector` and `signed_circuits`
+all read its reduced rows; results become `Fraction`s only on return.
+`integer_vector` is also the one scaling behind canonical hyperplanes and
+rays.
 """
 
 import math
@@ -14,54 +15,61 @@ from functools import reduce
 from itertools import combinations
 
 
-def _rows(matrix):
-    return [[Fraction(x) for x in row] for row in matrix]
+def _reduce(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination of int rows, in place: (pivot columns, pivot).
 
-
-def _eliminate(matrix, ncols=None):
-    """Gauss-Jordan elimination: (reduced rows, pivot columns).
-
-    Row i holds the pivot of column pivots[i] and zeros in the other pivot
-    columns; pivots are not scaled to 1. They are searched in the first
-    ``ncols`` columns (all by default), so an augmented right-hand side rides
-    along without being pivoted on.
+    Each step turns every row but the pivot row into (a row - b prow) / the
+    previous pivot, where a is the pivot and b the row's entry in its column;
+    done also where b is 0, this keeps every entry a minor of the input, so
+    the division is exact. Row i ends with the returned pivot (the last one
+    taken, 1 if none) in column pivots[i] and zeros in the other pivot
+    columns. Pivots are searched in the first ``ncols`` columns (all by
+    default), so an augmented right-hand side rides along unpivoted.
     """
-    m = _rows(matrix)
     if ncols is None:
-        ncols = len(m[0]) if m else 0
+        ncols = len(rows[0]) if rows else 0
     pivots = []
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
-        if r == len(m):
+        if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
+        for p in range(r, len(rows)):
+            if rows[p][col]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow, inv = m[r], m[r][col]
-        for i, row in enumerate(m):
-            if i != r and row[col] != 0:
-                factor = row[col] / inv
-                m[i] = [a - factor * p for a, p in zip(row, prow)]
+        rows[r], rows[p] = rows[p], rows[r]
+        prow, a = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                b = row[col]
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
+        prev = a
         pivots.append(col)
-    return m, pivots
+    return pivots, prev
+
+
+def _int_rows(matrix):
+    return [list(integer_vector(row)) for row in matrix]
 
 
 def rank(matrix):
     """Rank of a matrix, exactly."""
-    return len(_eliminate(matrix)[1])
+    return len(_reduce(_int_rows(matrix))[0])
 
 
-def _solution(matrix, rhs):
+def _solve(matrix, rhs):
     """(one solution with free variables 0, or None if inconsistent; whether it is unique)."""
     ncols = len(matrix[0]) if matrix else 0
-    m, pivots = _eliminate([(*row, b) for row, b in zip(matrix, rhs)], ncols)
+    rows = _int_rows([(*row, b) for row, b in zip(matrix, rhs)])
+    pivots, den = _reduce(rows, ncols)
     unique = len(pivots) == ncols
-    if any(row[ncols] != 0 for row in m[len(pivots) :]):
+    if any(row[ncols] for row in rows[len(pivots) :]):
         return None, unique
     x = [Fraction(0)] * ncols
-    for row, col in zip(m, pivots):
-        x[col] = row[ncols] / row[col]
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[ncols], den)
     return tuple(x), unique
 
 
@@ -71,32 +79,34 @@ def solve(matrix, rhs):
     Returns a tuple of Fractions, or None when the system is inconsistent or
     underdetermined (no unique solution).
     """
-    x, unique = _solution(matrix, rhs)
+    x, unique = _solve(matrix, rhs)
     return x if unique else None
 
 
 def solve_consistent(matrix, rhs):
     """One solution of a consistent system (free variables set to 0), else None."""
-    return _solution(matrix, rhs)[0]
+    return _solve(matrix, rhs)[0]
 
 
 def kernel_vector(matrix, ncols=None):
     """A nonzero rational vector in the kernel of ``matrix``, or None.
 
+    The first free column is set to 1 and the other free columns to 0.
     ``ncols`` must be given for an empty row list.
     """
     if not matrix:
         if not ncols:
             return None
         return tuple([Fraction(1)] + [Fraction(0)] * (ncols - 1))
-    m, pivots = _eliminate(matrix)
-    free = next((c for c in range(len(m[0])) if c not in pivots), None)
+    rows = _int_rows(matrix)
+    pivots, den = _reduce(rows)
+    free = next((c for c in range(len(rows[0])) if c not in pivots), None)
     if free is None:
         return None
-    x = [Fraction(0)] * len(m[0])
+    x = [Fraction(0)] * len(rows[0])
     x[free] = Fraction(1)
-    for row, col in zip(m, pivots):
-        x[col] = -row[free] / row[col]
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(-row[free], den)
     return tuple(x)
 
 
@@ -112,62 +122,39 @@ def integer_vector(v):
     return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
-def _circuit_signs(cols):
-    """Positive part (bitmask) of the dependency of ``cols``, or None if independent.
-
-    Every proper subset of ``cols`` must be independent, so the dependency,
-    if any, is unique up to scale and has full support. Fraction-free
-    elimination pivots on the first k-1 columns; row i then reads
-    p_i x_i + r_i x_last = 0, so with x_last > 0, x_i > 0 iff p_i and r_i
-    have opposite signs.
-    """
-    k = len(cols)
-    rows = [list(r) for r in zip(*cols)]
-    for c in range(k - 1):
-        p = next(i for i in range(c, len(rows)) if rows[i][c])
-        rows[c], rows[p] = rows[p], rows[c]
-        prow, a = rows[c], rows[c][c]
-        for i, row in enumerate(rows):
-            if i != c and row[c]:
-                b = row[c]
-                rows[i] = [a * x - b * y for x, y in zip(row, prow)]
-    if any(row[k - 1] for row in rows[k - 1 :]):
-        return None  # the last column has a pivot too: independent
-    pos = 1 << (k - 1)
-    for i in range(k - 1):
-        if (rows[i][i] > 0) != (rows[i][k - 1] > 0):
-            pos |= 1 << i
-    return pos
-
-
-def signed_circuits(vectors):
+def signed_circuits(vectors, among=None):
     """Every signed circuit of a list of vectors, as (support, positive) bitmasks.
 
     A circuit is a minimal linearly dependent subset C: its dependency
     sum_{i in C} x_i v_i = 0 is unique up to a positive or negative scale, so
     the two orientations (support, {i : x_i > 0}) and (support, {i : x_i < 0})
     are both returned. Bit i stands for vectors[i]. Supports have at most
-    d+1 elements; they come in order of size, then lexicographically.
+    d+1 elements; they come in order of size, then lexicographically. Given
+    a bitmask ``among``, only the circuits with support in it are found.
     """
-    cols = [integer_vector(v) for v in vectors]
-    d = len(cols[0]) if cols else 0
+    cols = {i: integer_vector(v) for i, v in enumerate(vectors) if among is None or among >> i & 1}
+    d = len(vectors[0]) if vectors else 0
     out = []
     smaller = []  # supports of the circuits found with fewer elements
     for k in range(1, d + 2):
         found = []
-        for subset in combinations(range(len(cols)), k):
+        for subset in combinations(cols, k):
             mask = 0
             for i in subset:
                 mask |= 1 << i
             if any(s & mask == s for s in smaller):
                 continue
-            local = _circuit_signs([cols[i] for i in subset])
-            if local is None:
-                continue
-            pos = 0
-            for j, i in enumerate(subset):
-                if local >> j & 1:
-                    pos |= 1 << i
+            rows = [list(r) for r in zip(*[cols[i] for i in subset])]
+            pivots, p = _reduce(rows, k)
+            if len(pivots) == k:
+                continue  # independent
+            # Every proper subset is independent, so the pivots are the first k-1 columns
+            # and row j reads p x_j + r_j x_last = 0: with x_last > 0, x_j > 0 iff p and
+            # r_j have opposite signs.
+            pos = 1 << subset[-1]
+            for j in range(k - 1):
+                if (p > 0) != (rows[j][-1] > 0):
+                    pos |= 1 << subset[j]
             found.append(mask)
             out.append((mask, pos))
             out.append((mask, mask ^ pos))

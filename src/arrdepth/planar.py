@@ -233,11 +233,6 @@ def extract_region(sub: PlanarSubdivision, table: DepthTable, k) -> DepthRegion:
     return DepthRegion(k, table.measure, idx)
 
 
-def cell_polygon(sub: PlanarSubdivision, face) -> list:
-    """The face's closure within the bounding box: a cell's polygon, an edge's segment or a vertex's point."""
-    return list(sub.polygons[face.index])
-
-
 def euler_counts(sub: PlanarSubdivision):
     """V, E, F of the complex within the bounding box; V - E + F = 2 certifies consistency."""
     V = len(sub.corners)  # every corner lies in some face's closure

@@ -2,11 +2,13 @@
 
 Shares no decision logic with `tverberg.solve_tverberg`: it walks the
 partitions into r blocks and tests convex-hull membership of q in each
-part's dual points by exact LP (`linprog.hull_membership`) at one
+part's dual points by exact LP (`lp_oracle.hull_membership`) at one
 representative of every face, instead of reading signed circuits. Only a
 found partition goes through `verify_partition`. Stirling-many partitions
 make it usable on small arrangements only.
 """
+
+import lp_oracle
 
 from arrdepth import linprog
 from arrdepth.cells import enumerate_faces
@@ -54,7 +56,7 @@ def exhaustive_tverberg(arr, r, max_partitions=200_000):
         if hit is None:
             q = reps[ci]
             duals = [dual_cache[ci][i] for i in part]
-            hit = linprog.hull_membership_small(duals, q) if len(duals) <= len(q) + 2 else linprog.hull_membership(duals, q)
+            hit = linprog.hull_membership_small(duals, q) if len(duals) <= len(q) + 2 else lp_oracle.hull_membership(duals, q)
             memo[key] = hit
         return hit
 

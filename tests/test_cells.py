@@ -2,9 +2,9 @@
 
 `_lp_faces` builds the faces of an affine arrangement one hyperplane at a
 time: each sign vector is extended by every sign whose face is nonempty, as
-decided by an exact LP (`linprog.interior_point`). It shares no code with the
-trace recursion in `cells._faces` and is slow, so it runs on small seeded
-degenerate arrangements: parallel, concurrent and scaled-duplicate
+decided by an exact LP (`lp_oracle.interior_point`). It shares no code with
+the trace recursion in `cells._faces` and is slow, so it runs on small
+seeded degenerate arrangements: parallel, concurrent and scaled-duplicate
 hyperplanes.
 
 `_fraction_faces` is the trace recursion on `Fraction` points, which the
@@ -23,7 +23,9 @@ from functools import cmp_to_key, reduce
 from math import comb
 from operator import mul
 
-from arrdepth import linalg, linprog
+import lp_oracle
+
+from arrdepth import linalg
 from arrdepth.cells import _angle_cmp, _distinct_lines, _faces, _rot90, direction_cells, enumerate_faces, normalize_ray
 from arrdepth.depth import deepest_point, regression_depth
 from arrdepth.geometry import Arrangement, generate_instance, hyperplane
@@ -49,9 +51,9 @@ def _lp_faces(arr):
                 if s == sign0:
                     continue
                 if s == 0:
-                    p = linprog.interior_point(eq_rows + [a], eq_rhs + [b], st_rows, st_rhs)
+                    p = lp_oracle.interior_point(eq_rows + [a], eq_rhs + [b], st_rows, st_rhs)
                 else:
-                    p = linprog.interior_point(
+                    p = lp_oracle.interior_point(
                         eq_rows, eq_rhs, st_rows + [linalg.vscale(s, a)], st_rhs + [Fraction(s) * b]
                     )
                 if p is not None:

@@ -125,7 +125,9 @@ def test_open_depth_degenerate_matches_explicit_perturbation():
     # open depth over the new cells: the cells of the perturbed arrangement
     # reaching into a small box around q whose signs on the lines through q
     # no cell of the unperturbed arrangement has
-    from arrdepth import linalg, linprog
+    import lp_oracle
+
+    from arrdepth import linalg
     from arrdepth.cells import enumerate_faces
     from arrdepth.geometry import Arrangement, Hyperplane
 
@@ -139,7 +141,7 @@ def test_open_depth_degenerate_matches_explicit_perturbation():
             st_rhs = [s * c for (a, c), s in zip(lines, signs)]
             stricts += [(1, 0), (-1, 0), (0, 1), (0, -1)]
             st_rhs += [q[0] - tol, -(q[0] + tol), q[1] - tol, -(q[1] + tol)]
-            if linprog.interior_point([], [], stricts, st_rhs) is not None:
+            if lp_oracle.interior_point([], [], stricts, st_rhs) is not None:
                 yield signs, rep
 
     def explicit(arr, q, eps=Fraction(1, 10**7), tol=Fraction(1, 10**3)):
@@ -295,7 +297,9 @@ def test_cell_unbounded(tri):
     # seeded degenerate arrangements (concurrent through the origin, parallel,
     # scaled duplicates, normals of rank < d) against an exact LP for a
     # recession direction
-    from arrdepth import linalg, linprog
+    import lp_oracle
+
+    from arrdepth import linalg
 
     rng = random.Random("cell-unbounded")
     bounded = 0
@@ -321,7 +325,7 @@ def test_cell_unbounded(tri):
                 assert not cell_unbounded(arr, q)
                 continue
             rays = [linalg.vscale(s, h.normal) for s, h in zip(signs, arr)]
-            expected = linprog.recession_direction(rays) is not None
+            expected = lp_oracle.recession_direction(rays) is not None
             assert cell_unbounded(arr, q) == expected, (rows, q)
             bounded += not expected
     assert bounded > 20

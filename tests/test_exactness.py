@@ -12,6 +12,10 @@ import), and none calls `exec` or `eval`. Records use `geometry.record`.
 A third scan keeps module-global mutable caches out: no function changes a
 module-level name. Per-arrangement results live on the arrangement (its
 cached properties and its query slot), per-call ones in locals.
+
+A fourth scan keeps dead helpers out: every module-level function is named
+somewhere in the package outside its own body, or exported by
+`arrdepth/__init__.py`. Test-only code lives in `tests/` as an oracle.
 """
 
 import ast
@@ -165,3 +169,52 @@ def test_no_module_level_state_changes_in_the_package():
         for func, line in _module_mutations(ast.parse(path.read_text())):
             offending.append(f"{path.name}:{line} in {func}")
     assert offending == []
+
+
+def _dead_helpers(trees, exported):
+    """(module, function) of every module-level function of ``trees`` ({module: ast}) that no code
+    outside its own body names, as a name, an attribute or an imported name, and that is not in
+    ``exported``. Dunders and `_cmd_*` subcommand handlers are exempt."""
+    named = {}  # name -> ids of the function bodies (None for module level) it is named in
+    for tree in trees.values():
+
+        def visit(node, body):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, set()).add(body)
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, set()).add(body)
+            elif isinstance(node, ast.alias):
+                named.setdefault(node.name, set()).add(body)
+            for child in ast.iter_child_nodes(node):
+                visit(child, id(child) if body is None and isinstance(child, ast.FunctionDef) else body)
+
+        visit(tree, None)
+    found = []
+    for module, tree in trees.items():
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or func.name in exported:
+                continue
+            if (func.name.startswith("__") and func.name.endswith("__")) or func.name.startswith("_cmd_"):
+                continue
+            if not named.get(func.name, set()) - {id(func)}:
+                found.append((module, func.name))
+    return found
+
+
+def test_scanner_sees_dead_helpers():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\ndef _cmd_run():\n    pass\n\n"
+            "def __getattr__(name):\n    pass\n\ndef public():\n    pass\n\ndef by_attr():\n    pass\n\n"
+            "def by_import():\n    pass\n\nclass C:\n    def method(self):\n        return used()\n"
+        ),
+        "b": ast.parse("from .a import by_import\nfrom . import a\n\ndef unused():\n    return a.by_attr()\n"),
+    }
+    assert _dead_helpers(trees, {"public"}) == [("a", "dead"), ("b", "unused")]
+
+
+def test_no_dead_helpers_in_the_package():
+    package = Path(arrdepth.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    exported = {name for names in arrdepth._EXPORTS.values() for name in names}
+    assert _dead_helpers(trees, exported) == []

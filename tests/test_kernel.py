@@ -105,14 +105,11 @@ def test_tope_mask_counts_match_fraction_loop():
         reps = arr.direction_cells[0]
         for q in qs:
             signs = _signs_at(arr, q)
-            on_idx = [i for i, s in enumerate(signs) if s == 0]
+            zero = sum(1 << i for i, s in enumerate(signs) if s == 0)
             sign_rows = [signs]
-            circuits = linalg.signed_circuits([arr[i].normal for i in on_idx])
-            for bits in _new_perturbed_cells(circuits, len(on_idx)):
-                local = list(signs)
-                for j, i in enumerate(on_idx):
-                    local[i] = 1 if bits >> j & 1 else -1
-                sign_rows.append(local)
+            circuits = [(supp, plus) for supp, plus in arr.circuits if supp & zero == supp]
+            for plus in _new_perturbed_cells(circuits, zero):
+                sign_rows.append([s or (1 if plus >> i & 1 else -1) for i, s in enumerate(signs)])
             patterns += len(sign_rows) - 1
             for row in sign_rows:
                 pos = sum(1 << i for i, s in enumerate(row) if s > 0)

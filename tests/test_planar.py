@@ -14,7 +14,6 @@ from arrdepth.planar import (
     _box_points,
     _screen,
     build_subdivision,
-    cell_polygon,
     check_contractible,
     euler_counts,
     extract_region,
@@ -136,7 +135,7 @@ def test_labels_match_depth_engine_at_extra_points():
     ]:
         table = label_depth(sub, arr, measure)
         for cell in sub.cells[:6]:
-            poly = cell_polygon(sub, cell)
+            poly = list(sub.polygons[cell.index])
             rep = cell.rep
             for _ in range(3):
                 # random convex mixture of the representative and polygon corners
@@ -323,7 +322,7 @@ def test_polygons_match_box_clip_oracle():
         for a, c in sub.lines:  # the SVG's line endpoints keep the clip's order
             assert _box_points(sub.bbox, a, c) == _box_clip(sub, [(a, c, 1), (a, c, -1)])
         for f in sub.faces:
-            poly, clip = cell_polygon(sub, f), _clipped_face(sub, f)
+            poly, clip = list(sub.polygons[f.index]), _clipped_face(sub, f)
             if f.dim < 2:
                 assert set(poly) == set(clip) and len(poly) == len(clip) == f.dim + 1, (arr, f)
                 continue
@@ -358,7 +357,7 @@ def test_polygons_built_once_per_subdivision(monkeypatch):
     assert calls == [sub]
     other = build_subdivision(arr)
     euler_counts(other)  # counts the corners, which the polygons are built from
-    cell_polygon(other, other.cells[0])
+    assert other.polygons[other.cells[0].index]
     assert calls == [sub, other]  # kept with each subdivision, not in a module-global cache
 
 

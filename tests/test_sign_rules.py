@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import lp_oracle
+
 from arrdepth import linalg, linprog
 from arrdepth.depth import _new_perturbed_cells, open_regression_depth
 from arrdepth.enclosing import hyperplane_enclosing_depth, point_enclosing_depth, verify_enclosure
@@ -147,13 +149,13 @@ def _lambda_polytope(normals, sigma):
 def _optimize_lambda(A, b, j, fixed, sense):
     keep = [k for k in range(len(A[0])) if k not in fixed]
     if j not in keep:
-        return linprog.OPTIMAL, Fraction(0)
+        return lp_oracle.OPTIMAL, Fraction(0)
     colmap = {k: i for i, k in enumerate(keep)}
     A2 = [[row[k] for k in keep] for row in A]
     c = [Fraction(0)] * len(keep)
     c[colmap[j]] = Fraction(-1) if sense == "max" else Fraction(1)
-    status, _, value = linprog.simplex(A2, b, c)
-    if status != linprog.OPTIMAL:
+    status, _, value = lp_oracle.simplex(A2, b, c)
+    if status != lp_oracle.OPTIMAL:
         return status, None
     return status, (-value if sense == "max" else value)
 
@@ -172,13 +174,13 @@ def _perturbed_cell_feasible(normals, indices, sigma):
     for j in sorted(range(len(indices)), key=lambda j: indices[j]):
         if sigma[j] > 0:
             status, val = _optimize_lambda(A, b, j, fixed, "max")
-            if status != linprog.OPTIMAL:
+            if status != lp_oracle.OPTIMAL:
                 return True  # dual polytope empty: no certificate, cell exists
             if val > 0:
                 return False
         else:
             status, val = _optimize_lambda(A, b, j, fixed, "min")
-            if status != linprog.OPTIMAL:
+            if status != lp_oracle.OPTIMAL:
                 return True
             if val > 0:
                 return True  # all duals lex-negative: cell exists
@@ -188,7 +190,7 @@ def _perturbed_cell_feasible(normals, indices, sigma):
 
 def _central_cell_feasible(normals, sigma):
     rows = [linalg.vscale(s, a) for s, a in zip(sigma, normals)]
-    return linprog.cone_witness(rows) is not None
+    return lp_oracle.cone_witness(rows) is not None
 
 
 def test_open_depth_cell_rule_matches_lp():
@@ -203,6 +205,15 @@ def test_open_depth_cell_rule_matches_lp():
             m = len(on_idx)
             # locally generic iff the incident normals are independent
             assert (not circuits) == (m == 0 or linalg.rank(normals) == m)
+
+            def spread(bits):  # a bitmask over the incident hyperplanes, in the arrangement's bits
+                return sum(1 << i for j, i in enumerate(on_idx) if bits >> j & 1)
+
+            # the incident normals' circuits are the arrangement's with support among them, in order
+            zero = spread((1 << m) - 1)
+            incident = [(supp, plus) for supp, plus in arr.circuits if supp & zero == supp]
+            assert [(spread(supp), spread(plus)) for supp, plus in circuits] == incident
+            assert linalg.signed_circuits([a for a, _ in arr.int_rows], zero) == incident
             rule = open_regression_depth(arr, q)[1].rule
             if not circuits:
                 assert rule == "open"
@@ -214,6 +225,6 @@ def test_open_depth_cell_rule_matches_lp():
                 if not _central_cell_feasible(normals, sigma) and _perturbed_cell_feasible(normals, on_idx, sigma):
                     expected.append(bits)
             patterns += 2**m
-            assert list(_new_perturbed_cells(circuits, m)) == expected, (arr, q)
+            assert list(_new_perturbed_cells(incident, zero)) == [spread(bits) for bits in expected], (arr, q)
             assert rule == ("open-perturbed" if expected else "open")
     assert degenerate >= 300 and patterns >= 3000
