@@ -107,6 +107,32 @@ def _direction_cells_2d(lines):
     return reps
 
 
+def signed_normal_order(normals):
+    """The 2n vectors +-a_h of nonzero planar normals, counter-clockwise from +x.
+
+    One (h, positive, t, far, block, antipode) per vector, at its position t:
+    positive is 1 for a_h and 0 for -a_h. Equal directions keep the order of
+    h, a_h before -a_h, and share a block number, counted in order; antipode
+    is the block of the opposite direction. far is the position of the last
+    vector of that block, taken in (t, t + 2n): the vectors at most a
+    half-turn counter-clockwise from the one at t are those at t to far,
+    read around the order.
+    """
+    vecs = [(h, s, (a[0], a[1]) if s else (-a[0], -a[1])) for h, a in enumerate(normals) for s in (1, 0)]
+    vecs.sort(key=cmp_to_key(lambda u, v: _angle_cmp(u[2], v[2])))  # stable: ties keep (h, a_h first)
+    block = [0] * len(vecs)
+    for t in range(1, len(vecs)):
+        block[t] = block[t - 1] + (_angle_cmp(vecs[t - 1][2], vecs[t][2]) != 0)
+    at = {(h, s): t for t, (h, s, _) in enumerate(vecs)}
+    last = {b: t for t, b in enumerate(block)}
+    out = []
+    for t, (h, s, _) in enumerate(vecs):
+        anti = block[at[h, 1 - s]]
+        far = last[anti]
+        out.append((h, s, t, far + len(vecs) if far < t else far, block[t], anti))
+    return tuple(out)
+
+
 def _direction_cells_sliced(lines, d):
     """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign key, as integer vectors."""
     reps = []

@@ -7,13 +7,63 @@ the transversal's dual points. Validity of a transversal therefore depends
 only on the underlying (d+1)-set. For an arrangement a (d+1)-set is valid
 when it contains a coverable piece, read from the residual signs and the
 signed circuits of the normals (`tverberg.coverable_pieces`, kept in the
-arrangement's query slot with their packing size, which caps the search);
-for a point set the valid sets are found by exact hull tests. The search
-then builds groups so that each group is drawn from the indices that still
+arrangement's query slot with their packing size, which caps the depth);
+for a point set the valid sets are found by exact hull tests.
+
+In the plane, without ``strict``, the depth is read from the circular order
+of the signed normals y_h = sign(s_h) a_h of the hyperplanes not through q
+(s_h is the residual of q), with no search (`_planar_max_k`). Let u be the
+number of hyperplanes through q. By Gordan's alternative a triple of the
+others is valid iff its y's lie in no open half-plane; a triple with a
+hyperplane through q is always valid. Level k (n >= 3k) is feasible iff
+
+(0) u >= k: one group of hyperplanes through q, two of any others; or
+(B) some direction v has 2k - min(k, c(v)) - min(k, c(-v)) <= u, where
+    c(v) counts the y's pointing along v: two groups on opposite rays,
+    filled up with hyperplanes through q, and any k others; or
+(A) three disjoint runs of the circular order of the y's, of 1..k
+    hyperplanes each and at least 3k - u in all, are such that for each
+    run and the next one counter-clockwise the angle from the first y of
+    the run to the last y of the next is at most pi. An antipodal pair
+    counts as pi, and one direction met again after a full turn as 2 pi.
+
+Proof. Write each group as D_i = N_i + I_i, with I_i through q. If some N_i
+is empty, that is (0). Otherwise the groups work iff every (y_a, y_b, y_c)
+in N_1 x N_2 x N_3 lies in no open half-plane {y : w.y > 0}, that is iff the
+sets W_i = {w : w.y <= 0 for all y in N_i} cover the circle of directions w.
+If N_i lies in a closed arc [f_i, l_i] (the smallest, counter-clockwise from
+its first to its last y) of width a_i < pi, W_i is the closed arc
+[l_i + pi/2, f_i + 3pi/2] of length pi - a_i; otherwise W_i has at most two
+points. Two of the W's cover the circle alone only as opposite closed
+semicircles, that is when two groups lie on opposite rays: rule (B), which
+any third group completes. Otherwise none of the W's is at most two points
+or contains another, for the other two would then cover the circle. So an
+arc that starts inside another ends past it, and none reaches round to the
+start of the arc it starts after: ordered by their starts, the three arcs
+end in the same order, and they cover the circle iff each reaches the start
+of the next, f_i + 3pi/2 >= l_{i+1} + pi/2, that is l_{i+1} - f_i <= pi:
+the angle bound of (A). The gaps g_i = l_{i+1} - l_i sum to 2 pi, and
+g_i + a_i <= pi, so g_i = 2 pi - g_{i+2} - g_{i+1} >= a_{i+2} + pi - g_{i+1}
+>= a_{i+1}: each [f_i, l_i] ends where or before the next one starts, so
+the N_i follow each other around the circle and share at most an end
+direction. Hyperplanes
+with equal y can swap groups without changing any transversal's y's, so
+each N_i may be taken as one stretch of the order restricted to
+N_1 + N_2 + N_3. Replacing N_i by the |N_i| hyperplanes of the whole order
+from the first of N_i keeps every first y and moves no last y further, so
+three runs as in (A) exist. Conversely, for runs as in (A) and one y from
+each, the three counter-clockwise gaps between them sum to 2 pi, and each
+is at most the bound of two consecutive runs, at most pi: the triple lies in
+no open half-plane. Groups that interleave around the circle are therefore
+a case of (B): D_1 = {0, 2}, D_2 = {1}, D_3 = {181} (degrees) hold D_2 and
+D_3 on opposite rays, and the runs {0, 1}, {2}, {181} satisfy (A) as well.
+
+In every other case (d = 1 or 3, ``strict``, and point sets) a search
+builds groups so that each group is drawn from the indices that still
 complete every partial transversal through the groups chosen so far to a
 valid set, and cuts a partial choice as soon as too few such indices remain
-to fill the groups left. Those indices are read from the pieces on demand,
-so neither the valid sets nor their subsets are listed.
+to fill the groups left (`_search_max_k`). Those indices are read from the
+pieces on demand, so neither the valid sets nor their subsets are listed.
 """
 
 from fractions import Fraction
@@ -204,6 +254,93 @@ def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
     return 0, None
 
 
+def _planar_max_k(arr, q, k_cap):
+    """Largest k <= k_cap with a k-enclosure of q at d = 2, and its groups, by rules (0), (B) and (A).
+
+    The y_h of the m non-incident hyperplanes are read, in counter-clockwise
+    order, from `Arrangement.signed_normals` and q's signs, with no sort.
+    reach[p] is the last position in p..p+m-1 (p + m is p one turn on) whose
+    y is at most a half-turn from the y at p; it rises with p, so one pass
+    finds it. A level is then decided by (0), by (B) over the directions of
+    the y's, and by (A) through `_runs`, over the run sizes in 1..k that sum
+    to exactly 3k - u, one per rotation: a run made shorter at its end keeps
+    the angle bounds, so larger sums add nothing. `_pad` fills the groups.
+    """
+    n = len(arr)
+    slot = arr._query(q)
+    pos, zero = slot[1], slot[2]
+    sides = (~(pos | zero), pos)  # sides[positive] has bit h when y_h is a_h (positive = 1) or -a_h (0)
+    ys = [e for e in arr.signed_normals if sides[e[1]] >> e[0] & 1]
+    m = len(ys)
+    u = n - m
+    ts = [e[2] for e in ys]
+    ts += [t + 2 * n for t in ts]
+    reach = []
+    r = 0
+    for p, e in enumerate(ys):
+        r = max(r, p)
+        while ts[r + 1] <= e[3]:  # ts[p + m] is past e[3], which lies within one turn
+            r += 1
+        reach.append(r)
+    reach += [r + m for r in reach]
+    rays = {}  # direction -> (the hyperplanes whose y points that way, the opposite direction)
+    for h, _, _, _, b, anti in ys:
+        rays.setdefault(b, ([], anti))[0].append(h)
+    incident = [h for h in range(n) if zero >> h & 1]
+    for k in range(k_cap, 0, -1):
+        if u >= k:
+            return k, _pad(n, k, [[]], incident)
+        for hs, anti in rays.values():
+            other = rays[anti][0] if anti in rays else []
+            if min(k, len(hs)) + min(k, len(other)) >= 2 * k - u:
+                return k, _pad(n, k, [hs[:k], other[:k]], incident)
+        need = 3 * k - u
+        for s1 in range(k - u, k + 1):
+            for s2 in range(k - u, k + 1):
+                s3 = need - s1 - s2
+                if not k - u <= s3 <= k or (s2, s3, s1) < (s1, s2, s3) or (s3, s1, s2) < (s1, s2, s3):
+                    continue
+                starts = _runs(m, reach, s1, s2, s3)
+                if starts is not None:
+                    parts = [[ys[p % m][0] for p in range(a, a + s)] for a, s in zip(starts, (s1, s2, s3))]
+                    return k, _pad(n, k, parts, incident)
+    return 0, None
+
+
+def _runs(m, reach, s1, s2, s3):
+    """Starts (i, j, l) of three disjoint runs of s1, s2 and s3 positions, in order, as rule (A) asks, or None.
+
+    Run 2 starts at j in [i + s1, reach[i] - s2 + 1], run 3 at l in
+    [j + s2, reach[j] - s3 + 1] and by i + m - s3, and reach[l] must reach
+    i + m + s1 - 1, the end of run 1 one turn on. reach rises, so for each i
+    the best j is the largest one that leaves run 3 some l, and the best l
+    the largest one.
+    """
+    for i in range(m):
+        end = i + m - s3
+        for j in range(min(reach[i] - s2 + 1, end - s2), i + s1 - 1, -1):
+            if reach[j] - j >= s2 + s3 - 1:
+                l = min(reach[j] - s3 + 1, end)
+                if reach[l] >= i + m + s1 - 1:
+                    return i, j, l
+                break
+    return None
+
+
+def _pad(n, k, parts, incident):
+    """Three groups of k, sorted and ordered by their first index.
+
+    Each part is filled up with incident hyperplanes in order, and each
+    group left takes the next k of the other hyperplanes.
+    """
+    spare = iter(incident)
+    groups = [part + [next(spare) for _ in range(k - len(part))] for part in parts]
+    used = {h for g in groups for h in g}
+    rest = [h for h in range(n) if h not in used]
+    groups += [rest[j * k : (j + 1) * k] for j in range(3 - len(parts))]
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
 def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshold=12):
     """Maximum k such that a sub-arrangement k-encloses q, with a certificate.
 
@@ -211,11 +348,16 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     piece (`tverberg.coverable_pieces`); with ``strict`` (q interior to the
     simplex of its dual points) iff it is itself a piece, which is then a
     circuit free of incident hyperplanes. The k diagonal transversals of a
-    k-enclosure are disjoint coverable sets, so the search starts at
-    min(n // (d+1), HTvD), with the pieces and HTvD read from the query slot
-    for q (`Arrangement._query`). Exact for n <= exact_threshold and d <= 3; larger
-    instances raise ExactBudgetExceeded carrying the lower bound 1 when some
-    (d+1)-set is valid, else 0.
+    k-enclosure are disjoint coverable sets, so the levels are tried from
+    min(n // (d+1), HTvD) down, with the pieces and HTvD read from the query
+    slot for q (`Arrangement._query`). At d = 2 without ``strict`` each level
+    is decided by the rules (0), (B) and (A) of the module docstring on the
+    circular order of the signed normals (`_planar_max_k`), with no search;
+    the groups are then sorted and ordered by their first index. Otherwise
+    (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels. The
+    path depends only on d and ``strict``. Exact for n <= exact_threshold
+    and d <= 3; larger instances raise ExactBudgetExceeded carrying the
+    lower bound 1 when some (d+1)-set is valid, else 0.
     """
     d = arr.dimension
     n = len(arr)
@@ -228,9 +370,13 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
         bound = int(any(p.bit_count() == d + 1 for p in pieces) if strict else bool(pieces))
         raise ExactBudgetExceeded(f"n={n}, d={d} exceeds the exact enclosing-depth budget", bound=bound)
 
-    if strict:
-        pieces = [p for p in pieces if p.bit_count() == d + 1]
-    k, groups = _search_max_k(n, d, pieces, min(n // (d + 1), _packing_size(arr, q)))
+    k_cap = min(n // (d + 1), _packing_size(arr, q))
+    if d == 2 and not strict:
+        k, groups = _planar_max_k(arr, q, k_cap)
+    else:
+        if strict:
+            pieces = [p for p in pieces if p.bit_count() == d + 1]
+        k, groups = _search_max_k(n, d, pieces, k_cap)
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)

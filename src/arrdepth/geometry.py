@@ -243,6 +243,15 @@ class Arrangement:
         return reps, tuple(masks)
 
     @cached_property
+    def signed_normals(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """The planar normals +-a_h in counter-clockwise order (`cells.signed_normal_order`).
+
+        It depends only on the normals, so every query on the arrangement
+        reuses it; the planar enclosing depth filters it by a query's signs.
+        """
+        return cells.signed_normal_order([a for a, _ in self.int_rows])
+
+    @cached_property
     def weight_tables(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
         """The weights as integers over one common denominator, for bitmask sums.
 

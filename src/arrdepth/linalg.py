@@ -3,8 +3,8 @@
 Entries are ints or `fractions.Fraction`s. Each row is scaled to coprime
 ints by `integer_vector`, and `_reduce` runs the one elimination of the
 package on them: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968).
-`rank`, `solve`, `solve_consistent`, `kernel_vector` and `signed_circuits`
-all read its reduced rows; results become `Fraction`s only on return.
+`rank`, `_solve` (with `solve`), `kernel_vector` and `signed_circuits` all
+read its reduced rows; results become `Fraction`s only on return.
 `integer_vector` is also the one scaling behind canonical hyperplanes and
 rays.
 """
@@ -81,11 +81,6 @@ def solve(matrix, rhs):
     """
     x, unique = _solve(matrix, rhs)
     return x if unique else None
-
-
-def solve_consistent(matrix, rhs):
-    """One solution of a consistent system (free variables set to 0), else None."""
-    return _solve(matrix, rhs)[0]
 
 
 def kernel_vector(matrix, ncols=None):

@@ -29,16 +29,13 @@ def _in_hull_rec(points, q):
         return points[0] == q
     base = points[0]
     diffs = [linalg.vsub(p, base) for p in points[1:]]
-    if linalg.rank(diffs) < n - 1:
-        # Affinely dependent: conv(points) is covered by the facets.
-        return any(_in_hull_rec(points[:i] + points[i + 1 :], q) for i in range(n))
-    # Independent: unique barycentric coordinates via least-squares-free solve.
-    d = len(q)
-    A = [[diffs[j][i] for j in range(n - 1)] for i in range(d)]
-    rhs = list(linalg.vsub(q, base))
-    sol = linalg.solve_consistent(A, rhs)  # unique: the columns are independent
+    A = [[diffs[j][i] for j in range(n - 1)] for i in range(len(q))]
+    # One elimination: the barycentric coordinates, and whether the points are affinely independent.
+    sol, unique = linalg._solve(A, list(linalg.vsub(q, base)))
     if sol is None:
         return False  # q outside the affine hull
-    lam = list(sol)
-    lam0 = Fraction(1) - sum(lam)
-    return lam0 >= 0 and all(v >= 0 for v in lam)
+    if not unique:
+        # Affinely dependent: conv(points) is covered by the facets.
+        return any(_in_hull_rec(points[:i] + points[i + 1 :], q) for i in range(n))
+    lam0 = Fraction(1) - sum(sol)
+    return lam0 >= 0 and all(v >= 0 for v in sol)

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from test_sign_rules import degenerate_case
 
 import arrdepth
 from arrdepth import cli
 from arrdepth.cli import cross_check, run
-from arrdepth.geometry import dump_json, generate_instance, triangle
+from arrdepth.depth import deepest_point
+from arrdepth.geometry import dump_json, frac_str, generate_instance, triangle
 
 
 @pytest.fixture
@@ -58,6 +61,46 @@ def test_hed_and_verify(tri_file, tmp_path):
     cert_path.write_text(json.dumps(bad))
     code, rep = run(["hed-verify", "--cert", str(cert_path), tri_file])
     assert code == 2 and rep["outputs"]["verified"] is False
+
+
+def _planar_hed_cases():
+    """(profile, arrangement, queries) at d = 2: seeded generic and weighted instances at their deepest point
+    and elsewhere, and a degenerate one at its concurrency point, a vertex and on a line."""
+    for seed, profile in ((21, "generic"), (22, "weighted")):
+        arr = generate_instance(seed, 2, 10, profile)
+        yield profile, arr, [deepest_point(arr)[0], ("1/3", "-1/2")]
+    arr, queries = degenerate_case(5, 2, 9)
+    yield "degenerate", arr, queries
+
+
+def test_planar_hed_reports(tmp_path, capsys):
+    """`arrdepth hed` at d = 2: exit 0, a certificate that verifies, the same bytes twice, and hed-verify accepts it."""
+    depths = []
+    for profile, arr, queries in _planar_hed_cases():
+        path = tmp_path / f"{profile}.json"
+        path.write_text(dump_json(arr))
+        for q in queries:
+            query = ",".join(frac_str(Fraction(c)) for c in q)
+            argv = ["hed", "--query", query, str(path)]
+            outputs = []
+            for _ in range(2):
+                code, rep = run(argv)
+                outputs.append(capsys.readouterr().out)
+                assert code == 0, (profile, query)
+            assert outputs[0] == outputs[1], (profile, query)
+            value = rep["outputs"]["value"]
+            depths.append(value)
+            if not value:
+                assert "groups" not in rep["outputs"]
+                continue
+            assert rep["verification"]["certificate_verifies"] is True
+            cert_path = tmp_path / "cert.json"
+            cert = {"k": value, "groups": rep["outputs"]["groups"], "query": query.split(",")}
+            cert_path.write_text(json.dumps(cert))
+            code, rep = run(["hed-verify", "--cert", str(cert_path), str(path)])
+            capsys.readouterr()
+            assert code == 0 and rep["outputs"] == {"verified": True, "k": value}
+    assert max(depths) >= 2 and depths.count(0) < len(depths) - 3, depths
 
 
 def test_tverberg_cli(tmp_path):

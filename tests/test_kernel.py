@@ -2,12 +2,14 @@
 
 RD and RD' count, for every direction cell, the weight of the hyperplanes
 selected by a bitmask formula over the residual and cell sign masks; HED
-prunes its enclosure search with reach sets read from the pieces on demand;
-HTvD packs pieces by a memoized recursion. Each is checked here against the
-plain loop it replaced: the per-hyperplane Fraction count
-(`depth._count_signs`), the unpruned enclosure search, the search over
-materialised valid sets and reach maps, and the full subset DP, the last
-three kept below as oracles.
+prunes its enclosure search with reach sets read from the pieces on demand,
+and at d = 2 decides each level from the circular order of the signed
+normals with no search; HTvD packs pieces by a memoized recursion. Each is
+checked here against the plain loop it replaced: the per-hyperplane
+Fraction count (`depth._count_signs`), the unpruned enclosure search, the
+search over materialised valid sets and reach maps, the enclosure search
+itself for the planar levels, and the full subset DP; all but the search
+are kept below as oracles.
 """
 
 import random
@@ -15,12 +17,20 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrdepth import linalg
-from arrdepth.depth import _count_signs, _min_count, _new_perturbed_cells, _signs_at, _tope_counts
-from arrdepth.enclosing import _search_max_k
+from arrdepth import enclosing, linalg
+from arrdepth.depth import _count_signs, _min_count, _new_perturbed_cells, _signs_at, _tope_counts, deepest_point
+from arrdepth.enclosing import (
+    EnclosureCertificate,
+    _planar_max_k,
+    _search_max_k,
+    point_enclosing_depth,
+    verify_enclosure,
+)
 from arrdepth.errors import ExactBudgetExceeded
-from arrdepth.geometry import Arrangement, generate_instance, hyperplane
+from arrdepth.geometry import Arrangement, evaluate, generate_instance, hyperplane
 from arrdepth.tverberg import _pieces, max_packing
 
 
@@ -323,3 +333,158 @@ def test_memoized_packing_matches_subset_dp():
         for piece in packed:
             assert piece in pieces and not piece & used, (n, pieces, packed)
             used |= piece
+
+
+def assert_planar_levels_match_search(arr, q):
+    """At d = 2 the scan decides every level 1..n//3 as the search does; returns the depth.
+
+    Every certificate it gives has three disjoint sorted groups of k, in
+    order, and passes `verify_enclosure`.
+    """
+    n = len(arr)
+    pieces = _pieces(arr, *arr.sign_masks(q))
+    depth = 0
+    for k in range(1, n // 3 + 1):
+        feasible = _search_max_k(n, 2, pieces, k)[0] == k
+        got, groups = _planar_max_k(arr, q, k)
+        assert (got == k) == feasible, (arr, q, k)
+        if got:
+            assert len(groups) == 3 and all(len(g) == got and list(g) == sorted(g) for g in groups)
+            assert len(set().union(*groups)) == 3 * got and list(groups) == sorted(groups)
+            assert verify_enclosure(arr, EnclosureCertificate(got, groups, q)), (arr, q, groups)
+        depth = max(depth, got)
+    return depth
+
+
+def _planar_family():
+    """Seeded planar arrangements of 3-12 small-coordinate lines, with queries.
+
+    The lines pass through one point, or are parallel, antiparallel or
+    duplicate to an earlier one, or free. The queries lie at that point, at
+    about a third of the vertices, on a line and elsewhere.
+    """
+    rng = random.Random("kernel:planar-levels")
+    for _ in range(150):
+        n, center = rng.randint(3, 12), (rng.randint(-2, 2), rng.randint(-2, 2))
+        rows = []
+        while len(rows) < n:
+            r = rng.random()
+            if r < 0.5 and rows:
+                a0, b0 = rows[rng.randrange(len(rows))]
+                k = rng.choice((1, -1, 2, -3))
+                a, b = (k * a0[0], k * a0[1]), k * b0 + rng.choice((0, 0, 1, -1))
+            else:
+                a = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if not any(a):
+                    continue
+                b = a[0] * center[0] + a[1] * center[1] if r < 0.3 else rng.randint(-4, 4)
+            rows.append((a, b))
+        arr = Arrangement(2, tuple(hyperplane(a, b) for a, b in rows))
+        qs = [center, tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(2))]
+        for i, j in combinations(range(len(arr)), 2):
+            vertex = linalg.solve([arr[i].normal, arr[j].normal], [arr[i].offset, arr[j].offset])
+            if vertex is not None and rng.random() < 0.3:
+                qs.append(vertex)
+        (a0, a1), b = arr[0].normal, arr[0].offset
+        t = Fraction(rng.randint(-3, 3), 2)
+        qs.append((t, (b - a0 * t) / a1) if a1 else (b / a0, t))
+        yield arr, qs
+
+
+def test_planar_levels_match_search():
+    """The planar rule against the search at every level: on the d = 2 families above, generated instances at
+    their deepest point, a vertex and elsewhere, and `_planar_family`."""
+    refuted = incident = 0
+    for arr, qs in _cases():
+        if arr.dimension != 2 or len(arr) > 12:
+            continue
+        for q in qs:
+            depth = assert_planar_levels_match_search(arr, q)
+            refuted += depth < len(arr) // 3
+            incident += bool(arr.sign_masks(q)[1])
+    for seed in range(300, 348):
+        arr = generate_instance(seed, 2, 9 + seed % 4, ("generic", "weighted")[seed % 2])
+        vertex = linalg.solve([arr[0].normal, arr[1].normal], [arr[0].offset, arr[1].offset])
+        for q in (deepest_point(arr)[0], vertex, (Fraction(1, 3), Fraction(-1, 2)), (Fraction(seed, 5), 1)):
+            refuted += assert_planar_levels_match_search(arr, q) < len(arr) // 3
+    for arr, qs in _planar_family():
+        for q in qs:
+            assert_planar_levels_match_search(arr, q)
+    assert refuted >= 20 and incident >= 10
+
+
+small = st.integers(-3, 3)
+normals = st.tuples(small, small).filter(any)
+
+
+@st.composite
+def planar_cases(draw):
+    """(arrangement, query) of small-coordinate lines with weights 0-2.
+
+    The lines are free, through one center, or parallel, antiparallel or
+    duplicate to an earlier one; the query lies at the center, at a vertex,
+    on a line or on none.
+    """
+    center = (draw(small), draw(small))
+    rows = []
+    for _ in range(draw(st.integers(3, 11))):
+        kind = draw(st.sampled_from(("free",) * 4 + ("center", "parallel", "antiparallel", "duplicate")))
+        if kind in ("free", "center") or not rows:
+            a = draw(normals)
+            b = a[0] * center[0] + a[1] * center[1] if kind == "center" else draw(st.integers(-4, 4))
+        else:
+            a0, b0 = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, 2, 3))) * (-1 if kind == "antiparallel" else 1)
+            a = (scale * a0[0], scale * a0[1])
+            b = scale * b0 + (0 if kind == "duplicate" else draw(st.integers(-2, 2)))
+        rows.append((a, b))
+    weights = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    arr = Arrangement(2, tuple(hyperplane(a, b, w) for (a, b), w in zip(rows, weights)))
+    kind = draw(st.sampled_from(("center", "vertex", "line", "free", "free")))
+    if kind == "center":
+        return arr, center
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    vertex = linalg.solve([arr[i].normal, arr[j].normal], [arr[i].offset, arr[j].offset])
+    if kind == "vertex" and vertex is not None:
+        return arr, vertex
+    if kind == "line":
+        (a0, a1), b = arr[i].normal, arr[i].offset
+        t = Fraction(draw(st.integers(-6, 6)), 2)
+        return arr, ((t, (b - a0 * t) / a1) if a1 else (b / a0, t))
+    # Off every line: a.q = b has no solution with |a_i| <= 9 at these denominators.
+    return arr, (draw(st.integers(-2, 1)) + Fraction(1, 7), draw(st.integers(-2, 1)) + Fraction(3, 11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_cases())
+def test_planar_enclosing_depth_fuzz(case):
+    """On degenerate planar inputs the scan decides each level as the search does.
+
+    Its value is the enclosing depth of the dual points, and its certificate
+    verifies.
+    """
+    arr, q = case
+    depth = assert_planar_levels_match_search(arr, q)
+    value, cert = enclosing.hyperplane_enclosing_depth(arr, q)
+    assert value == depth == point_enclosing_depth(evaluate(arr, q).dual_points, q)
+    assert (cert is None) == (value == 0)
+    if cert is not None:
+        assert verify_enclosure(arr, cert) and cert.groups == _planar_max_k(arr, q, value)[1]
+
+
+def test_planar_enclosing_depth_runs_no_search(monkeypatch):
+    """At d = 2 without strict no level is searched; strict and d = 3 still search."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_search_max_k called")
+
+    monkeypatch.setattr(enclosing, "_search_max_k", refuse)
+    found = 0
+    for arr, qs in _cases():
+        if arr.dimension == 2 and len(arr) <= 12:
+            for q in qs:
+                found += enclosing.hyperplane_enclosing_depth(arr, q)[0] > 0
+    assert found >= 10
+    arr2, arr3 = generate_instance(1, 2, 9, "generic"), generate_instance(1, 3, 7, "generic")
+    for arr, strict in ((arr2, True), (arr3, False), (arr3, True)):
+        with pytest.raises(AssertionError, match="_search_max_k called"):
+            enclosing.hyperplane_enclosing_depth(arr, (Fraction(1, 3),) * arr.dimension, strict=strict)

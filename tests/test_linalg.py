@@ -1,9 +1,9 @@
 """The integer elimination behind `arrdepth.linalg`, against the Fraction oracle it replaced.
 
-`rank`, `solve`, `solve_consistent`, `kernel_vector` and `signed_circuits`
-read one fraction-free elimination on Python ints. Each must return exactly
-what the Gauss-Jordan elimination on `Fraction`s in `tests/linalg_oracle.py`
-returns, `Fraction` entries included, on int and `Fraction` matrices with
+`rank`, `_solve` (one solution and whether it is unique), `solve`,
+`kernel_vector` and `signed_circuits` read one fraction-free elimination on
+Python ints. Each must return exactly what the Gauss-Jordan elimination on
+`Fraction`s in `tests/linalg_oracle.py` returns, `Fraction` entries included, on int and `Fraction` matrices with
 zero rows, dependent rows and inconsistent right-hand sides, wide and tall.
 
 `is_general_position` reads both of its checks from one pass over the
@@ -76,7 +76,9 @@ def test_elimination_matches_fraction_oracle(system):
     rows, rhs, n = system
     assert linalg.rank(rows) == oracle.rank(rows)
     _same(linalg.solve(rows, rhs), oracle.solve(rows, rhs))
-    _same(linalg.solve_consistent(rows, rhs), oracle.solve_consistent(rows, rhs))
+    x, unique = linalg._solve(rows, rhs)
+    _same(x, oracle.solve_consistent(rows, rhs))
+    assert unique == (oracle.rank(rows) == (len(rows[0]) if rows else 0))
     _same(linalg.kernel_vector(rows, ncols=n), oracle.kernel_vector(rows, ncols=n))
     assert linalg.signed_circuits(rows) == oracle.signed_circuits(rows)
     among = [i for i in range(len(rows)) if i % 3 != 1]  # the circuits among a subset, in the list's bits

@@ -134,7 +134,7 @@ def test_the_slot_holds_one_query():
     slot = vars(arr)["_slot"]
     assert slot[0] == qs[-1] and slot[1:3] == arr.sign_masks(qs[-1])
     assert None not in slot  # RD, the pieces and their packing were all filled in for the last query
-    cached = {"circuits", "int_rows", "direction_cells", "weight_tables", "total_weight"}
+    cached = {"circuits", "int_rows", "direction_cells", "signed_normals", "weight_tables", "total_weight"}
     assert set(vars(arr)) - before <= cached | {"_slot"}  # nothing else keeps a query
 
 
