@@ -22,8 +22,13 @@ tests compare against.
 RD, RD' and TRD read q's masks from the arrangement's query slot
 (`Arrangement._query`), and RD keeps its value and certificate there, so at
 one q the masks and RD are computed once; TRD is min(w(A)/(d+1), RD) on
-that RD. Scans over many points (`deepest_point`, the planar labels) use
-the plain masks and leave the slot alone.
+that RD. RD' at a q on no hyperplane is RD too, with the same witness: no
+residual is 0, so the two rules count the same hyperplanes in every cell.
+At a q on hyperplanes whose normals may hold a circuit, RD' takes one pass
+over the cells, grouped by their signs on the incident set, and reads every
+perturbed pattern from the groups (`_open_depth`). Scans over many points
+(`deepest_point`, the planar labels) use the plain masks and leave the
+slot alone.
 """
 
 import random
@@ -241,8 +246,48 @@ def open_regression_depth(arr, q):
     (Gordan), while its perturbed cell {y : sigma_j (a_j.y - eps^(h_j+1)) > 0}
     is not, i.e. no conforming circuit is positive at its lowest hyperplane
     index, whose eps power dominates the offset combination (Motzkin).
+
+    When no hyperplane passes through q, every residual is nonzero, so
+    s * (a.u) <= 0 holds exactly when s * (a.u) < 0 or a.u = 0: the open and
+    closed counts agree in every direction, and RD' is RD with the same first
+    minimizing cell. It is then read from the query slot (`regression_depth`,
+    which fills it if RD has not run yet). Otherwise `_open_depth` runs.
     """
-    return _depth_at_masks(arr, *_query_masks(arr, q), _RD_OPEN)
+    if not arr.hyperplanes:
+        return _depth_at_masks(arr, 0, 0, _RD_OPEN)
+    if not arr._query(q)[2]:
+        rd, cert = regression_depth(arr, q)
+        return rd, DepthCertificate(cert.direction, rd, "open")
+    return _open_depth(arr, *_query_masks(arr, q))
+
+
+def _open_groups(arr, pos, neg, zero):
+    """The open ray count off the incident set ``zero``, minimised over the direction cells of each pattern.
+
+    Returns {pattern: (count, index)}: a pattern is the cell's positive
+    signs on ``zero`` (tp & zero), count its least open count (integers over
+    `arr.weight_tables`' denominator) and index the first direction cell
+    that has it. Direction cells are open, so no cell sign is 0 and the
+    residual signs are 0 on ``zero``: the incident hyperplanes add nothing
+    to the count of (pos, neg), and they add w(zero & (plus ^ tp)) under the
+    perturbed signs whose positive ones are ``plus``. The keys are the
+    patterns whose open cone is not empty.
+    """
+    groups = {}
+    for j, (count, (tp, _)) in enumerate(zip(_tope_counts(arr, pos, neg, "open"), arr.direction_cells[1])):
+        key = tp & zero
+        hit = groups.get(key)
+        if hit is None or count < hit[0]:
+            groups[key] = (count, j)
+    return groups
+
+
+def _weight(arr, mask):
+    """The weight of the hyperplanes in ``mask``, as an integer over `arr.weight_tables`' denominator."""
+    _, tables = arr.weight_tables
+    if tables is None:
+        return mask.bit_count()
+    return sum(t[mask >> 8 * c & 255] for c, t in enumerate(tables))
 
 
 def _open_depth(arr, pos, neg):
@@ -250,30 +295,41 @@ def _open_depth(arr, pos, neg):
 
     One incident normal has no circuit, and two have one only when they are
     parallel, which for two hyperplanes through one point means equal
-    canonical normals. So circuits are found, among the incident normals
-    alone, only for three or more of them, or two equal ones.
+    canonical normals. Those cases, and the cells of `planar.label_depth`,
+    take the plain open minimum (`_min_count`).
+
+    With three or more incident normals, or two equal ones, one pass over the
+    direction cells groups them by their pattern on the incident set
+    (`_open_groups`). A pattern's open cone is empty exactly when no cell has
+    it, so by Gordan's alternative the incident normals have no circuit when
+    all 2^m patterns occur: q is locally generic and `linalg.signed_circuits`
+    is not called. Otherwise each new perturbed pattern (`_new_perturbed_cells`)
+    is evaluated over the groups, the least of group minimum plus the
+    weight the pattern's signs add, ties to the first cell; the first
+    strictly deepest pattern gives the certificate.
     """
     zero = ((1 << len(arr)) - 1) & ~(pos | neg)
     rows = arr.int_rows
     m = zero.bit_count()
-    if m > 2 or (m == 2 and rows[(zero & -zero).bit_length() - 1][0] == rows[zero.bit_length() - 1][0]):
-        circuits = linalg.signed_circuits([a for a, _ in rows], zero)
-    else:
-        circuits = ()
-    if not circuits:
+    if m < 2 or (m == 2 and rows[(zero & -zero).bit_length() - 1][0] != rows[zero.bit_length() - 1][0]):
         best, u = _min_count(arr, pos, neg, "open")
         return best, DepthCertificate(u, best, "open")
 
-    best = None
-    best_u = None
-    for plus in _new_perturbed_cells(circuits, zero):
-        val, u = _min_count(arr, pos | plus, neg | (zero & ~plus), "open")
-        if best is None or val > best:
-            best, best_u = val, u
-    if best is None:
-        best, best_u = _min_count(arr, pos, neg, "open")
-        return best, DepthCertificate(best_u, best, "open")
-    return best, DepthCertificate(best_u, best, "open-perturbed")
+    den = arr.weight_tables[0]
+    reps = arr.direction_cells[0]
+    groups = _open_groups(arr, pos, neg, zero)
+    if len(groups) < 1 << m:
+        deepest = None
+        for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in rows], zero), zero):
+            count, j = min((count + _weight(arr, zero & (plus ^ key)), j) for key, (count, j) in groups.items())
+            if deepest is None or count > deepest[0]:
+                deepest = count, j
+        if deepest is not None:
+            best = Fraction(deepest[0], den)
+            return best, DepthCertificate(reps[deepest[1]], best, "open-perturbed")
+    count, j = min(groups.values())
+    best = Fraction(count, den)
+    return best, DepthCertificate(reps[j], best, "open")
 
 
 def truncated_regression_depth(arr, q):

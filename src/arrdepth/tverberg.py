@@ -25,7 +25,7 @@ from . import linprog
 from .cells import candidate_points
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
-from .geometry import SLOT_PACKING, SLOT_PIECES, point, record
+from .geometry import SLOT_PACKING, SLOT_PIECES, SLOT_RD, point, record
 
 
 @record
@@ -146,12 +146,36 @@ def coverable_pieces(arr, q):
 
 
 def _packing_size(arr, q):
-    """The size of a maximum packing of q's coverable pieces, kept in the query slot for q."""
+    """The size of a maximum packing of q's coverable pieces, kept in the query slot for q.
+
+    A greedy packing, pieces smallest first and then by mask, is maximum
+    when it reaches an upper bound: the s singleton pieces, plus |U| // c
+    for the union U of the larger pieces and their least size c. With unit
+    weights a partition into r parts of depth >= 1 has RD >= r, so RD joins
+    the bound when the slot already holds it. `max_packing` runs only when
+    greedy falls short.
+    """
     pieces = coverable_pieces(arr, q)
     slot = arr._query(q)  # read after the pieces are in it
-    if slot[SLOT_PACKING] is None:
-        return arr._keep(slot, SLOT_PACKING, len(max_packing(pieces)))
-    return slot[SLOT_PACKING]
+    if slot[SLOT_PACKING] is not None:
+        return slot[SLOT_PACKING]
+    used = size = singles = union = least = 0
+    for piece in sorted(pieces, key=lambda m: (m.bit_count(), m)):
+        if not piece & used:
+            used |= piece
+            size += 1
+        k = piece.bit_count()
+        if k == 1:
+            singles += 1
+        else:
+            union |= piece
+            least = least or k  # the pieces come smallest first
+    bound = singles + (union.bit_count() // least if union else 0)
+    if arr.weight_tables[1] is None and slot[SLOT_RD] is not None:
+        bound = min(bound, slot[SLOT_RD][0])
+    if size < bound:
+        size = len(max_packing(pieces))
+    return arr._keep(slot, SLOT_PACKING, size)
 
 
 def max_packing(pieces):
@@ -202,11 +226,15 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     monotone under adding hyperplanes; the maximum over partitions therefore
     equals the maximum number of disjoint minimal coverable sets. Those are
     read from the residual signs of q and the cached signed circuits of the
-    normals (`coverable_pieces`), and packed exactly by `max_packing`; the
-    pieces and the packing size stay in the query slot for HED. Beyond
-    the exact threshold the raised ExactBudgetExceeded carries a greedy lower
-    bound: pieces taken smallest first, then in lexicographic order, when
-    disjoint from those already taken.
+    normals (`coverable_pieces`), and packed exactly (`_packing_size`): a
+    greedy packing when it reaches the upper bound min(RD, s + |U| // c),
+    `max_packing` otherwise. RD is in that bound only with unit weights and
+    only when the query slot already holds it, so HTvD itself never
+    computes direction cells. The pieces and the packing size stay in the
+    query slot for HED. Beyond the exact threshold the raised
+    ExactBudgetExceeded carries a greedy lower bound: pieces taken smallest
+    first, then in lexicographic order, when disjoint from those already
+    taken.
     """
     n = len(arr)
     q = point(q)
