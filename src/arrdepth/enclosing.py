@@ -12,7 +12,9 @@ for a point set the valid sets are found by exact hull tests.
 
 In the plane, without ``strict``, the depth is read from the circular order
 of the signed normals y_h = sign(s_h) a_h of the hyperplanes not through q
-(s_h is the residual of q), with no search (`_planar_max_k`). Let u be the
+(s_h is the residual of q), with no circuit, piece or search
+(`_planar_max_k`); its start level min(n // 3, HTvD) comes from the same
+order, by the rule in the `tverberg` module docstring. Let u be the
 number of hyperplanes through q. By Gordan's alternative a triple of the
 others is valid iff its y's lie in no open half-plane; a triple with a
 hyperplane through q is always valid. Level k (n >= 3k) is feasible iff
@@ -72,7 +74,7 @@ from itertools import combinations, product
 from . import linalg, linprog
 from .errors import CertificateError, ExactBudgetExceeded
 from .geometry import Arrangement, evaluate, point, record
-from .tverberg import _packing_size, coverable_pieces
+from .tverberg import _packing_size, _planar_depth, _planar_order, coverable_pieces
 
 
 @record
@@ -257,32 +259,19 @@ def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
 def _planar_max_k(arr, q, k_cap):
     """Largest k <= k_cap with a k-enclosure of q at d = 2, and its groups, by rules (0), (B) and (A).
 
-    The y_h of the m non-incident hyperplanes are read, in counter-clockwise
-    order, from `Arrangement.signed_normals` and q's signs, with no sort.
-    reach[p] is the last position in p..p+m-1 (p + m is p one turn on) whose
-    y is at most a half-turn from the y at p; it rises with p, so one pass
-    finds it. A level is then decided by (0), by (B) over the directions of
-    the y's, and by (A) through `_runs`, over the run sizes in 1..k that sum
-    to exactly 3k - u, one per rotation: a run made shorter at its end keeps
-    the angle bounds, so larger sums add nothing. `_pad` fills the groups.
+    The y_h of the m non-incident hyperplanes, in counter-clockwise order,
+    and each position's half-turn reach are read from the query slot
+    (`tverberg._planar_order`), where HTvD at q reads them too. A level is
+    then decided by (0), by (B) over the directions of the y's, and by (A)
+    through `_runs`, over the run sizes in 1..k that sum to exactly 3k - u,
+    one per rotation: a run made shorter at its end keeps the angle bounds,
+    so larger sums add nothing. `_pad` fills the groups.
     """
     n = len(arr)
-    slot = arr._query(q)
-    pos, zero = slot[1], slot[2]
-    sides = (~(pos | zero), pos)  # sides[positive] has bit h when y_h is a_h (positive = 1) or -a_h (0)
-    ys = [e for e in arr.signed_normals if sides[e[1]] >> e[0] & 1]
+    ys, reach = _planar_order(arr, q)
+    zero = arr._query(q)[2]
     m = len(ys)
     u = n - m
-    ts = [e[2] for e in ys]
-    ts += [t + 2 * n for t in ts]
-    reach = []
-    r = 0
-    for p, e in enumerate(ys):
-        r = max(r, p)
-        while ts[r + 1] <= e[3]:  # ts[p + m] is past e[3], which lies within one turn
-            r += 1
-        reach.append(r)
-    reach += [r + m for r in reach]
     rays = {}  # direction -> (the hyperplanes whose y points that way, the opposite direction)
     for h, _, _, _, b, anti in ys:
         rays.setdefault(b, ([], anti))[0].append(h)
@@ -349,31 +338,40 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     simplex of its dual points) iff it is itself a piece, which is then a
     circuit free of incident hyperplanes. The k diagonal transversals of a
     k-enclosure are disjoint coverable sets, so the levels are tried from
-    min(n // (d+1), HTvD) down, with the pieces and HTvD read from the query
-    slot for q (`Arrangement._query`). At d = 2 without ``strict`` each level
-    is decided by the rules (0), (B) and (A) of the module docstring on the
-    circular order of the signed normals (`_planar_max_k`), with no search;
-    the groups are then sorted and ordered by their first index. Otherwise
-    (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels. The
-    path depends only on d and ``strict``. Exact for n <= exact_threshold
-    and d <= 3; larger instances raise ExactBudgetExceeded carrying the
-    lower bound 1 when some (d+1)-set is valid, else 0.
+    min(n // (d+1), HTvD) down, with HTvD read from the query slot for q
+    (`Arrangement._query`); at d = 2 it comes from the circular order of
+    the signed normals (`tverberg._planar_depth`), elsewhere from the
+    packing of the pieces. At d = 2 without ``strict`` each level is
+    decided on that order by the rules (0), (B) and (A) of the module
+    docstring (`_planar_max_k`), with no circuit, piece or search; the
+    groups are then sorted and ordered by their first index. Otherwise
+    (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels over
+    the pieces kept in the slot. The path depends only on d and
+    ``strict``. Exact for n <= exact_threshold and d <= 3; larger instances
+    raise ExactBudgetExceeded carrying the lower bound 1 when some
+    (d+1)-set is valid, else 0: without ``strict`` that is when HTvD >= 1,
+    which at d = 2 the planar rule decides.
     """
     d = arr.dimension
     n = len(arr)
     q = point(q)
     if n < d + 1:
         return 0, None
-    pieces = coverable_pieces(arr, q)
+    planar = d == 2 and not strict
     if n > exact_threshold or d > 3:
         # n >= d+1, so every piece lies in some (d+1)-set.
-        bound = int(any(p.bit_count() == d + 1 for p in pieces) if strict else bool(pieces))
+        if planar:
+            bound = int(_planar_depth(arr, q) >= 1)
+        else:
+            pieces = coverable_pieces(arr, q)
+            bound = int(any(p.bit_count() == d + 1 for p in pieces) if strict else bool(pieces))
         raise ExactBudgetExceeded(f"n={n}, d={d} exceeds the exact enclosing-depth budget", bound=bound)
 
-    k_cap = min(n // (d + 1), _packing_size(arr, q))
-    if d == 2 and not strict:
+    k_cap = min(n // (d + 1), _planar_depth(arr, q) if d == 2 else _packing_size(arr, q))
+    if planar:
         k, groups = _planar_max_k(arr, q, k_cap)
     else:
+        pieces = coverable_pieces(arr, q)
         if strict:
             pieces = [p for p in pieces if p.bit_count() == d + 1]
         k, groups = _search_max_k(n, d, pieces, k_cap)

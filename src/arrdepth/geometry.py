@@ -175,7 +175,7 @@ def hyperplane(normal, offset, weight=1) -> Hyperplane:
 
 
 # Entries of `Arrangement._query`'s slot that a measure fills in.
-SLOT_PIECES, SLOT_PACKING, SLOT_RD = 3, 4, 5
+SLOT_PIECES, SLOT_PACKING, SLOT_RD, SLOT_ORDER = 3, 4, 5, 6
 
 
 @record
@@ -295,23 +295,29 @@ class Arrangement:
         return pos, zero
 
     def _query(self, q) -> tuple:
-        """The arrangement's one-query slot, holding q: (q, pos, zero, pieces, packing, rd).
+        """The arrangement's one-query slot, holding q: (q, pos, zero, pieces, packing, rd, order).
 
         q is the `point` tuple and (pos, zero) are its `sign_masks`. The
         other entries are None until a measure fills them in with `_keep`:
         q's coverable pieces (`tverberg.coverable_pieces`), the size of their
-        maximum packing, and RD with its certificate. The per-query measures
-        read them here, so a request that evaluates RD, RD', TRD, HTvD and
-        HED at one q computes each once. The slot is one immutable tuple,
-        replaced whole when another q comes: it holds one query at a time,
-        and a reader checks q on the tuple it read, so threads that share the
+        maximum packing, RD with its certificate, and in the plane the
+        circular order of the signed normals off q with its half-turn reach
+        (`tverberg._planar_order`). The per-query measures read them here,
+        so a request that evaluates RD, RD', TRD, HTvD and HED at one q
+        computes each once. A caller passing the very tuple the slot holds,
+        as the five measures of one request do, gets the slot with no
+        conversion or comparison. The slot is one immutable tuple, replaced
+        whole when another q comes: it holds one query at a time, and a
+        reader checks q on the tuple it read, so threads that share the
         arrangement never see another query's values. `sign_masks` does not
         touch it.
         """
-        q = point(q)
         slot = self.__dict__.get("_slot")
+        if slot is not None and slot[0] is q:
+            return slot
+        q = point(q)
         if slot is None or slot[0] != q:
-            slot = (q, *self.sign_masks(q), None, None, None)
+            slot = (q, *self.sign_masks(q), None, None, None, None)
             object.__setattr__(self, "_slot", slot)
         return slot
 

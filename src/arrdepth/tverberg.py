@@ -1,4 +1,4 @@
-"""Tverberg partitions and the hyperplane Tverberg depth, from signed circuits.
+"""Tverberg partitions and the hyperplane Tverberg depth, from signed circuits or the circular order.
 
 A part P of an arrangement has RD(P, q) >= 1 exactly when q lies in the
 convex hull of P's dual points. By Gordan's alternative (Bjorner et al.,
@@ -8,9 +8,68 @@ a signed circuit of the normals whose signs match the residual signs of q.
 The test is monotone under adding hyperplanes, so q carries a partition
 into r parts of depth >= 1 exactly when r disjoint pieces exist at q
 (`max_packing`), and the hyperplane Tverberg depth of q is the size of a
-maximum packing. The pieces and the packing size are kept in the
+maximum packing. At d = 1 and d >= 3 it is computed that way
+(`_packing_size`). The pieces and the packing size are kept in the
 arrangement's query slot for q (`Arrangement._query`), where the enclosing
 depth at the same q reads them.
+
+In the plane (d = 2) the packing size is read from the circular order of
+the signed normals, with no circuit, piece or packing (`_planar_depth`).
+Let u hyperplanes pass through q, and let Y hold y_h = sign(s_h) a_h for
+the m others (s_h is the residual of q). The pieces in Y are the sets of
+y's with a positive combination 0 and no smaller such subset: the
+antipodal pairs (y_g a negative multiple of y_h), and the triples of
+pairwise non-parallel y's with 0 inside their triangle. Let P be the size
+of a maximum matching of antipodal pairs in Y. For a direction w let c(w)
+be #{y : w.y > 0} plus the smaller of the counts of Y on the two rays of
+the line w.y = 0. Then
+
+    HTvD = u + min(P + (m - 2P) // 3, min over w of c(w)).
+
+Proof. The u singletons {h} of the hyperplanes through q are disjoint from
+every other piece, so HTvD is u plus the packing size of Y; write K(Y) for
+the minimum above.
+
+Upper bound. A packing of p pairs and t triples has p <= P and
+2p + 3t <= m, so p + t <= (m + p) / 3 <= (m + P) / 3. A piece with no y in
+the open half-plane w.y > 0 lies in w.y <= 0, where a positive combination
+0 puts all its y's on the line w.y = 0; on a line only a pair, with one y
+on each ray, is a piece. So disjoint pieces number at most c(w).
+
+Lower bound. Take the P pairs of a maximum matching as pieces, and let Z be
+the rest. Removing one of those pairs lowers P by one and m by two, so the
+first term by exactly one; and it lowers every c(w) by exactly one, since
+one of the two has w.y > 0 or both lie on the line w.y = 0, one on each
+ray. So K(Y) = P + K(Z). Z holds no antipodal pair, as the matching is
+maximum: each line w.z = 0 has Z on one ray at most, c(w) = #{z : w.z > 0},
+and K(Z) = min(|Z| // 3, D) with D the least number of points of Z in an
+open half-plane. Let K = K(Z). While |Z| > 3K, drop a point that no open
+half-plane with exactly K points of Z holds, so that K(Z) stays K; such a
+point exists. If D > K any point will do. Otherwise let H be an open
+half-plane with exactly K points, and z_1, ..., z_N, N = |Z| - K >= 2K + 1,
+the points of its closed complement Q in counter-clockwise order; drop
+z_{K+1}. An open half-plane H' holding z_{K+1} meets Q in one arc (H' is
+not H), so if H' reached past either end of Q it would hold z_1, ...,
+z_{K+1} or z_{K+1}, ..., z_N, more than K points. Otherwise H' lies in the
+arc from z_1 to z_N, at most a half-turn long, which an open half-plane
+fits only when z_1 and z_N are antipodal; Z holds no antipodal pair, so
+every H' holding z_{K+1} holds more than K points. Now |Z| = 3K and every
+open half-plane holds K or more points of Z; order Z counter-clockwise as
+z_0, ..., z_{3K-1} (as Birch, "On 3N points in a plane", 1959) and take the
+K disjoint triples {z_i, z_{i+K}, z_{i+2K}}. If the convex hull of one
+missed 0, its three points would lie in an open half-plane (they lie in a
+closed one, and no two are antipodal), so one counter-clockwise gap of the
+triple, from z_j to z_{j+K} (indices mod 3K), would exceed a half-turn. The
+open half-plane counter-clockwise from z_j would then hold only points
+strictly between z_j and z_{j+K}, at most K - 1 of them. So each triple
+holds 0 in its convex hull, and so a piece, and the packing size is at
+least P + K(Z) = K(Y).
+
+The rule is computed in O(n) from the arrangement's sorted signed normals
+(`Arrangement.signed_normals`) filtered by q's sign masks; the filtered
+order and each position's half-turn reach stay in the query slot, where
+the planar enclosing depth reads them. `max_packing` over the pieces stays
+the oracle in the tests at every d.
 
 `solve_tverberg` turns this into a constructive solver. For a fixed
 partition the points where every part has depth >= 1 form a closed union of
@@ -25,7 +84,7 @@ from . import linprog
 from .cells import candidate_points
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
-from .geometry import SLOT_PACKING, SLOT_PIECES, SLOT_RD, point, record
+from .geometry import SLOT_ORDER, SLOT_PACKING, SLOT_PIECES, SLOT_RD, point, record
 
 
 @record
@@ -80,7 +139,8 @@ def solve_tverberg(arr, r, seed=0):
     pieces exist, those become the parts and every other hyperplane is dealt
     onto them in turn, which cannot lower a part's depth. The core keeps the
     packing small and the dealing keeps the parts, and so their exact
-    verification, small.
+    verification, small. In the plane a candidate runs `max_packing` only
+    when the rule of the module docstring allows r pieces there.
 
     The scan is deterministic: ``seed`` is accepted for callers that pass
     one and does not affect the result.
@@ -90,10 +150,14 @@ def solve_tverberg(arr, r, seed=0):
     if any(h.weight != 1 for h in arr):
         raise PartitionError("Tverberg solver expects unit weights")
     n = len(arr)
+    planar = arr.dimension == 2
     core = arr.subset(range(min(n, r * (arr.dimension + 1))))
     for sub in (core, arr) if len(core) < n else (arr,):
         for q in candidate_points(sub):
-            pieces = max_packing(_pieces(sub, *sub.sign_masks(q)))  # plain masks: a scan keeps no slot
+            pos, zero = sub.sign_masks(q)  # plain masks: a scan keeps no slot
+            if planar and _planar_size(len(sub), *_order(sub, pos, zero)) < r:
+                continue  # the rule's upper bound alone: no r disjoint pieces at q
+            pieces = max_packing(_pieces(sub, pos, zero))
             if len(pieces) < r:
                 continue
             parts = [[i for i in range(n) if piece >> i & 1] for piece in pieces[:r]]
@@ -143,6 +207,88 @@ def coverable_pieces(arr, q):
     if pieces is None:
         pieces = arr._keep(slot, SLOT_PIECES, tuple(_pieces(arr, slot[1], slot[2])))
     return pieces
+
+
+def _order(arr, pos, zero):
+    """The signed normals y_h of the planar hyperplanes off a point with residual sign masks (pos, zero).
+
+    Returns (ys, reach). ys holds the entries of `Arrangement.signed_normals`
+    for y_h = sign(s_h) a_h, in counter-clockwise order, with no sort.
+    reach[p] is the last position in p..p+m-1 (p + m is p one turn on)
+    whose y is at most a half-turn counter-clockwise from the y at p; it
+    rises with p, so one pass finds it. reach has 2m entries, the second m
+    one turn on.
+    """
+    sides = (~(pos | zero), pos)  # sides[positive] has bit h when y_h is a_h (positive = 1) or -a_h (0)
+    ys = [e for e in arr.signed_normals if sides[e[1]] >> e[0] & 1]
+    m = len(ys)
+    ts = [e[2] for e in ys]
+    ts += [t + 2 * len(arr) for t in ts]
+    reach = []
+    r = 0
+    for p, e in enumerate(ys):
+        r = max(r, p)
+        while ts[r + 1] <= e[3]:  # ts[p + m] is past e[3], which lies within one turn
+            r += 1
+        reach.append(r)
+    reach += [r + m for r in reach]
+    return ys, reach
+
+
+def _planar_order(arr, q):
+    """`_order` at q, kept in the query slot for q."""
+    slot = arr._query(q)
+    order = slot[SLOT_ORDER]
+    if order is None:
+        order = arr._keep(slot, SLOT_ORDER, _order(arr, slot[1], slot[2]))
+    return order
+
+
+def _planar_size(n, ys, reach):
+    """HTvD in the plane by the rule of the module docstring: u + min(P + (m - 2P) // 3, min over w of c(w)).
+
+    Equal directions form one block of ys, of cb vectors. Its last position
+    p sees seen = reach[p] - p vectors in the half-turn after it, the ca
+    vectors of the antipodal block included, so the open side
+    counter-clockwise of the block's line has c = seen - ca + min(cb, ca).
+    The least of these is min over w of c(w). Take a line whose open side
+    lies counter-clockwise of its ray r and clockwise of the opposite ray
+    r'. Turning it clockwise until it meets a y takes the y's met on r' out
+    of the open count and adds at most as many through the smaller ray. If
+    r then holds y's, c is the value of their block. Otherwise only r'
+    holds y's, at a block b with no antipodal y, and the open side is
+    H = the half-turn clockwise of b. The last block z at most a half-turn
+    counter-clockwise of b has an open side that meets Y only in H, and its
+    smaller ray holds no more y's than its far ray, whose y's lie in H
+    outside that open side; so z's value is at most |Y ∩ H|. P adds min(cb, ca)
+    once per antipodal pair of blocks.
+    """
+    m = len(ys)
+    blocks = {}  # block -> (its last position, its number of vectors)
+    first = 0
+    for p, e in enumerate(ys):
+        if p + 1 == m or ys[p + 1][4] != e[4]:
+            blocks[e[4]] = (p, p + 1 - first)
+            first = p + 1
+    pairs = 0
+    cut = m
+    for b, (p, cb) in blocks.items():
+        anti = ys[p][5]
+        ca = blocks[anti][1] if anti in blocks else 0
+        both = min(cb, ca)
+        if b < anti:
+            pairs += both
+        cut = min(cut, reach[p] - p - ca + both)
+    return n - m + min(pairs + (m - 2 * pairs) // 3, cut)
+
+
+def _planar_depth(arr, q):
+    """HTvD of a planar arrangement at q by `_planar_size`, kept in the query slot as the packing size."""
+    order = _planar_order(arr, q)
+    slot = arr._query(q)  # read after the order is in it
+    if slot[SLOT_PACKING] is not None:
+        return slot[SLOT_PACKING]
+    return arr._keep(slot, SLOT_PACKING, _planar_size(len(arr), *order))
 
 
 def _packing_size(arr, q):
@@ -224,14 +370,17 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
 
     A part works iff q lies in the convex hull of its dual points, which is
     monotone under adding hyperplanes; the maximum over partitions therefore
-    equals the maximum number of disjoint minimal coverable sets. Those are
-    read from the residual signs of q and the cached signed circuits of the
-    normals (`coverable_pieces`), and packed exactly (`_packing_size`): a
-    greedy packing when it reaches the upper bound min(RD, s + |U| // c),
-    `max_packing` otherwise. RD is in that bound only with unit weights and
-    only when the query slot already holds it, so HTvD itself never
-    computes direction cells. The pieces and the packing size stay in the
-    query slot for HED. Beyond the exact threshold the raised
+    equals the maximum number of disjoint minimal coverable sets. At d = 2
+    their number is read from the circular order of the signed normals by
+    the rule of the module docstring (`_planar_depth`), with no circuit,
+    piece or packing. Otherwise the pieces are read from the residual signs
+    of q and the cached signed circuits of the normals (`coverable_pieces`),
+    and packed exactly (`_packing_size`): a greedy packing when it reaches
+    the upper bound min(RD, s + |U| // c), `max_packing` otherwise. RD is in
+    that bound only with unit weights and only when the query slot already
+    holds it, so HTvD itself never computes direction cells. The packing
+    size (and the pieces or the planar order) stay in the query slot for
+    HED. Beyond the exact threshold, at every d, the raised
     ExactBudgetExceeded carries a greedy lower bound: pieces taken smallest
     first, then in lexicographic order, when disjoint from those already
     taken.
@@ -240,6 +389,8 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     q = point(q)
     if n == 0:
         return 0
+    if n <= exact_threshold and arr.dimension == 2:
+        return _planar_depth(arr, q)
     pieces = coverable_pieces(arr, q)
     if n > exact_threshold:
         used = bound = 0

@@ -298,7 +298,9 @@ def test_packing_runs_max_packing_only_when_greedy_falls_short(monkeypatch):
     """At the deepest point of generate_instance(4, 2, 8) greedy packs 3 pieces where 4 fit.
 
     Where greedy meets RD, at the deepest points of generate_instance(s, 2, 8)
-    for some s < 4, the packing DP does not run.
+    for some s < 4, the packing DP does not run. `_packing_size` is called
+    directly: HTvD at d = 2 reads the planar rule and packs nothing, and
+    `_packing_size` is its route at every other d.
     """
     arr = generate_instance(4, 2, 8, "generic")
     q = deepest_point(arr)[0]
@@ -317,15 +319,15 @@ def test_packing_runs_max_packing_only_when_greedy_falls_short(monkeypatch):
         if with_rd:
             regression_depth(fresh, q)
         calls.clear()
-        assert hyperplane_tverberg_depth(fresh, q) == 4
+        assert _packing_size(fresh, q) == 4
         assert len(calls) == 1
     for weight in (0, Fraction(1, 2)):  # RD is then below HTvD and stays out of the bound
         light = Arrangement(2, tuple(hyperplane(h.normal, h.offset, weight) for h in arr))
         assert regression_depth(light, q)[0] < 4
-        assert hyperplane_tverberg_depth(light, q) == 4
+        assert _packing_size(light, q) == 4
     for other, p in met:
         fresh = _fresh(other)
         regression_depth(fresh, p)
         calls.clear()
-        assert hyperplane_tverberg_depth(fresh, p) == _greedy(coverable_pieces(fresh, p))
+        assert _packing_size(fresh, p) == _greedy(coverable_pieces(fresh, p))
         assert not calls
