@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -413,6 +414,10 @@ _HANDLERS = {
 def run(argv):
     """Dispatch a CLI invocation; returns (exit code, report dict or None)."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        # argparse takes "-1/2,3" for an option, so "--query -1/2,3" is read as "--query=-1/2,3"
+        if argv[i] == "--query" and re.match(r"-[0-9.]", argv[i + 1]):
+            argv[i : i + 2] = ["--query=" + argv[i + 1]]
     parser = _parser_for(argv)
     try:
         args = parser.parse_args(argv)

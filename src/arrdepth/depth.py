@@ -19,7 +19,7 @@ denominator). `directional_count`, `count_both` and `oracle_depth` keep the
 per-hyperplane Fraction loop, `_count_signs`, as the independent path the
 tests compare against.
 
-RD, RD' and TRD read q's masks from the arrangement's query slot
+RD, RD' and TRD read q's masks from the arrangement's record of q
 (`Arrangement._query`), and RD keeps its value and certificate there, so at
 one q the masks and RD are computed once; TRD is min(w(A)/(d+1), RD) on
 that RD. RD' at a q on no hyperplane is RD too, with the same witness: no
@@ -28,7 +28,7 @@ At a q on hyperplanes whose normals may hold a circuit, RD' takes one pass
 over the cells, grouped by their signs on the incident set, and reads every
 perturbed pattern from the groups (`_open_depth`). Scans over many points
 (`deepest_point`, the planar labels) use the plain masks and leave the
-slot alone.
+record alone.
 """
 
 import random
@@ -37,9 +37,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .cells import candidate_points, direction_cells
+from .cells import _sign, candidate_points, direction_cells
 from .errors import DimensionError, InvalidDirection, NoDeepPoint
-from .geometry import SLOT_RD, point, record
+from .geometry import point, record
 
 
 class MeasureKind(Enum):
@@ -70,10 +70,6 @@ class DepthCertificate:
     direction: tuple
     count: Fraction
     rule: str  # "closed" | "open" | "open-perturbed"
-
-
-def _sign(x):
-    return 1 if x > 0 else -1 if x < 0 else 0
 
 
 def _signs_at(arr, q):
@@ -171,14 +167,6 @@ def _masks_at(arr, q):
     return pos, ((1 << len(arr.hyperplanes)) - 1) & ~(pos | zero)
 
 
-def _query_masks(arr, q):
-    """`_masks_at` read from the arrangement's query slot (`Arrangement._query`)."""
-    if not arr.hyperplanes:
-        return 0, 0
-    _, pos, zero = arr._query(q)[:3]
-    return pos, ((1 << len(arr.hyperplanes)) - 1) & ~(pos | zero)
-
-
 def _depth_at_masks(arr, pos, neg, kind):
     """RD, RD' or TRD with a witness, at a point whose residual signs are the bitmasks (pos, neg).
 
@@ -202,13 +190,13 @@ def _depth_at_masks(arr, pos, neg, kind):
 
 
 def regression_depth(arr, q):
-    """Exact weighted regression depth with a witness direction, kept in the arrangement's query slot for q."""
+    """Exact weighted regression depth with a witness direction, kept in the arrangement's record of q."""
     if not arr.hyperplanes:
         return _depth_at_masks(arr, 0, 0, _RD)
     slot = arr._query(q)
-    if slot[SLOT_RD] is None:
-        return arr._keep(slot, SLOT_RD, _depth_at_masks(arr, *_query_masks(arr, q), _RD))
-    return slot[SLOT_RD]
+    if slot.rd is None:
+        slot.rd = _depth_at_masks(arr, slot.pos, slot.neg, _RD)
+    return slot.rd
 
 
 def _new_perturbed_cells(circuits, zero):
@@ -250,15 +238,16 @@ def open_regression_depth(arr, q):
     When no hyperplane passes through q, every residual is nonzero, so
     s * (a.u) <= 0 holds exactly when s * (a.u) < 0 or a.u = 0: the open and
     closed counts agree in every direction, and RD' is RD with the same first
-    minimizing cell. It is then read from the query slot (`regression_depth`,
+    minimizing cell. It is then read from q's record (`regression_depth`,
     which fills it if RD has not run yet). Otherwise `_open_depth` runs.
     """
     if not arr.hyperplanes:
         return _depth_at_masks(arr, 0, 0, _RD_OPEN)
-    if not arr._query(q)[2]:
+    slot = arr._query(q)
+    if not slot.zero:
         rd, cert = regression_depth(arr, q)
         return rd, DepthCertificate(cert.direction, rd, "open")
-    return _open_depth(arr, *_query_masks(arr, q))
+    return _open_depth(arr, slot.pos, slot.neg)
 
 
 def _open_groups(arr, pos, neg, zero):
@@ -333,7 +322,7 @@ def _open_depth(arr, pos, neg):
 
 
 def truncated_regression_depth(arr, q):
-    """TRD = min(total weight / (d+1), regression depth), with RD read from the query slot."""
+    """TRD = min(total weight / (d+1), regression depth), with RD read from q's record."""
     return min(arr.total_weight / (arr.dimension + 1), regression_depth(arr, q)[0])
 
 
@@ -451,7 +440,7 @@ def deepest_point(arr):
     best_val = None
     best_pt = None
     best_cert = None
-    for p in candidate_points(arr):  # a scan, so the plain masks: the query slot stays with the caller's q
+    for p in candidate_points(arr):  # a scan, so the plain masks: the record stays with the caller's q
         val, cert = _depth_at_masks(arr, *_masks_at(arr, p), _RD)
         if best_val is None or val > best_val or (val == best_val and p < best_pt):
             best_val, best_pt, best_cert = val, p, cert

@@ -7,7 +7,7 @@ the transversal's dual points. Validity of a transversal therefore depends
 only on the underlying (d+1)-set. For an arrangement a (d+1)-set is valid
 when it contains a coverable piece, read from the residual signs and the
 signed circuits of the normals (`tverberg.coverable_pieces`, kept in the
-arrangement's query slot with their packing size, which caps the depth);
+arrangement's record of q with their packing size, which caps the depth);
 for a point set the valid sets are found by exact hull tests.
 
 In the plane, without ``strict``, the depth is read from the circular order
@@ -260,29 +260,27 @@ def _planar_max_k(arr, q, k_cap):
     """Largest k <= k_cap with a k-enclosure of q at d = 2, and its groups, by rules (0), (B) and (A).
 
     The y_h of the m non-incident hyperplanes, in counter-clockwise order,
-    and each position's half-turn reach are read from the query slot
-    (`tverberg._planar_order`), where HTvD at q reads them too. A level is
-    then decided by (0), by (B) over the directions of the y's, and by (A)
-    through `_runs`, over the run sizes in 1..k that sum to exactly 3k - u,
-    one per rotation: a run made shorter at its end keeps the angle bounds,
-    so larger sums add nothing. `_pad` fills the groups.
+    each position's half-turn reach and the blocks of equal directions are
+    read from q's record (`tverberg._planar_order`), where HTvD at q reads
+    them too. A level is then decided by (0), by (B) over the blocks, and
+    by (A) through `_runs`, over the run sizes in 1..k that sum to exactly
+    3k - u, one per rotation: a run made shorter at its end keeps the angle
+    bounds, so larger sums add nothing. `_pad` fills the groups.
     """
     n = len(arr)
-    ys, reach = _planar_order(arr, q)
-    zero = arr._query(q)[2]
+    slot = arr._query(q)
+    ys, reach, blocks = _planar_order(arr, slot)
     m = len(ys)
     u = n - m
-    rays = {}  # direction -> (the hyperplanes whose y points that way, the opposite direction)
-    for h, _, _, _, b, anti in ys:
-        rays.setdefault(b, ([], anti))[0].append(h)
-    incident = [h for h in range(n) if zero >> h & 1]
+    incident = [h for h in range(n) if slot.zero >> h & 1]
     for k in range(k_cap, 0, -1):
         if u >= k:
             return k, _pad(n, k, [[]], incident)
-        for hs, anti in rays.values():
-            other = rays[anti][0] if anti in rays else []
-            if min(k, len(hs)) + min(k, len(other)) >= 2 * k - u:
-                return k, _pad(n, k, [hs[:k], other[:k]], incident)
+        for first, last, anti in blocks.values():
+            anti_first, anti_last, _ = blocks.get(anti, (0, -1, None))  # no y points the opposite way
+            if min(k, last + 1 - first) + min(k, anti_last + 1 - anti_first) >= 2 * k - u:
+                rays = (ys[first : last + 1][:k], ys[anti_first : anti_last + 1][:k])
+                return k, _pad(n, k, [[e[0] for e in ray] for ray in rays], incident)
         need = 3 * k - u
         for s1 in range(k - u, k + 1):
             for s2 in range(k - u, k + 1):
@@ -338,15 +336,15 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     simplex of its dual points) iff it is itself a piece, which is then a
     circuit free of incident hyperplanes. The k diagonal transversals of a
     k-enclosure are disjoint coverable sets, so the levels are tried from
-    min(n // (d+1), HTvD) down, with HTvD read from the query slot for q
-    (`Arrangement._query`); at d = 2 it comes from the circular order of
+    min(n // (d+1), HTvD) down, with HTvD read from the arrangement's record
+    of q (`Arrangement._query`); at d = 2 it comes from the circular order of
     the signed normals (`tverberg._planar_depth`), elsewhere from the
     packing of the pieces. At d = 2 without ``strict`` each level is
     decided on that order by the rules (0), (B) and (A) of the module
     docstring (`_planar_max_k`), with no circuit, piece or search; the
     groups are then sorted and ordered by their first index. Otherwise
     (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels over
-    the pieces kept in the slot. The path depends only on d and
+    the pieces kept in the record. The path depends only on d and
     ``strict``. Exact for n <= exact_threshold and d <= 3; larger instances
     raise ExactBudgetExceeded carrying the lower bound 1 when some
     (d+1)-set is valid, else 0: without ``strict`` that is when HTvD >= 1,

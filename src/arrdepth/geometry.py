@@ -174,8 +174,20 @@ def hyperplane(normal, offset, weight=1) -> Hyperplane:
     return Hyperplane(point(normal), frac(offset), frac(weight))
 
 
-# Entries of `Arrangement._query`'s slot that a measure fills in.
-SLOT_PIECES, SLOT_PACKING, SLOT_RD, SLOT_ORDER = 3, 4, 5, 6
+class _Query:
+    """One query's state at an arrangement: the point q, its residual sign masks, and what the measures fill in.
+
+    pos, neg and zero have bit i set when a_i . q - b_i is > 0, < 0 and = 0.
+    rd (RD with its certificate), pieces (`tverberg.coverable_pieces`),
+    packing (the size of their maximum packing) and order (in the plane,
+    `tverberg._order` at q) are None until a measure sets them.
+    """
+
+    __slots__ = ("q", "pos", "neg", "zero", "rd", "pieces", "packing", "order")
+
+    def __init__(self, q, pos, neg, zero):
+        self.q, self.pos, self.neg, self.zero = q, pos, neg, zero
+        self.rd = self.pieces = self.packing = self.order = None
 
 
 @record
@@ -229,18 +241,8 @@ class Arrangement:
         every query on the arrangement reuses them. See `cells.direction_cells`.
         """
         reps = tuple(cells.direction_cells([a for a, _ in self.int_rows], self.dimension))
-        masks = []
-        for u in reps:
-            u = [c.numerator for c in u]  # an integer vector: see `cells.normalize_ray`
-            pos = neg = 0
-            for i, (a, _) in enumerate(self.int_rows):
-                s = sum(map(operator.mul, a, u))
-                if s > 0:
-                    pos |= 1 << i
-                elif s < 0:
-                    neg |= 1 << i
-            masks.append((pos, neg))
-        return reps, tuple(masks)
+        # each rep is an integer vector (see `cells.normalize_ray`), so den = 0 gives the signs of a_i . u
+        return reps, tuple(self._signs([c.numerator for c in u], 0) for u in reps)
 
     @cached_property
     def signed_normals(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
@@ -275,6 +277,17 @@ class Arrangement:
             tables.append(tuple(table))
         return den, tuple(tables)
 
+    def _signs(self, nums, den) -> tuple[int, int]:
+        """(pos, neg) bitmasks of the signs of a_i . nums - b_i den: a point nums / den, or a direction with den = 0."""
+        pos = neg = 0
+        for i, (a, b) in enumerate(self.int_rows):
+            s = sum(map(operator.mul, a, nums)) - b * den
+            if s > 0:
+                pos |= 1 << i
+            elif s < 0:
+                neg |= 1 << i
+        return pos, neg
+
     def sign_masks(self, q) -> tuple[int, int]:
         """Residual signs of q as (pos, zero) bitmasks: bit i of pos (zero) is set when a_i . q - b_i > 0 (= 0).
 
@@ -284,52 +297,32 @@ class Arrangement:
         if len(q) != self.dimension:
             raise DimensionError(f"query has dimension {len(q)}, expected {self.dimension}")
         den = math.lcm(*(c.denominator for c in q))
-        qn = [c.numerator * (den // c.denominator) for c in q]
-        pos = zero = 0
-        for i, (a, b) in enumerate(self.int_rows):
-            s = sum(map(operator.mul, a, qn)) - b * den
-            if s > 0:
-                pos |= 1 << i
-            elif s == 0:
-                zero |= 1 << i
-        return pos, zero
+        pos, neg = self._signs([c.numerator * (den // c.denominator) for c in q], den)
+        return pos, ((1 << len(self.hyperplanes)) - 1) & ~(pos | neg)
 
-    def _query(self, q) -> tuple:
-        """The arrangement's one-query slot, holding q: (q, pos, zero, pieces, packing, rd, order).
+    def _query(self, q) -> _Query:
+        """The arrangement's record of q (`_Query`), where the per-query measures share q's work.
 
-        q is the `point` tuple and (pos, zero) are its `sign_masks`. The
-        other entries are None until a measure fills them in with `_keep`:
-        q's coverable pieces (`tverberg.coverable_pieces`), the size of their
-        maximum packing, RD with its certificate, and in the plane the
-        circular order of the signed normals off q with its half-turn reach
-        (`tverberg._planar_order`). The per-query measures read them here,
-        so a request that evaluates RD, RD', TRD, HTvD and HED at one q
-        computes each once. A caller passing the very tuple the slot holds,
-        as the five measures of one request do, gets the slot with no
-        conversion or comparison. The slot is one immutable tuple, replaced
-        whole when another q comes: it holds one query at a time, and a
-        reader checks q on the tuple it read, so threads that share the
-        arrangement never see another query's values. `sign_masks` does not
-        touch it.
+        RD, RD', TRD, HTvD and HED read q's sign masks there and set the
+        fields they compute, so a request that evaluates all five at one q
+        computes each once. A caller passing the very tuple the record
+        holds, as the five measures of one request do, gets it with no
+        conversion or comparison. The arrangement keeps one record, replaced
+        by a new one when another q comes. A record belongs to one q, so
+        everything written to it is q's: a thread that shares the
+        arrangement and writes to a record another q has since displaced
+        loses that write, and never mixes it into another query's record.
+        `sign_masks` keeps no record.
         """
         slot = self.__dict__.get("_slot")
-        if slot is not None and slot[0] is q:
+        if slot is not None and slot.q is q:
             return slot
         q = point(q)
-        if slot is None or slot[0] != q:
-            slot = (q, *self.sign_masks(q), None, None, None, None)
+        if slot is None or slot.q != q:
+            pos, zero = self.sign_masks(q)
+            slot = _Query(q, pos, ((1 << len(self.hyperplanes)) - 1) & ~(pos | zero), zero)
             object.__setattr__(self, "_slot", slot)
         return slot
-
-    def _keep(self, slot, field, value):
-        """Make the query slot ``slot`` with entry ``field`` set to value, and return value.
-
-        The new slot is built from the one the caller read, so it never
-        mixes two queries. A slot another thread stored meanwhile is
-        replaced, and what it held is computed again when asked for.
-        """
-        object.__setattr__(self, "_slot", slot[:field] + (value,) + slot[field + 1 :])
-        return value
 
     def subset(self, indices) -> "Arrangement":
         return Arrangement(self.dimension, tuple(self.hyperplanes[i] for i in indices))

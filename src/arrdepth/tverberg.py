@@ -10,7 +10,7 @@ into r parts of depth >= 1 exactly when r disjoint pieces exist at q
 (`max_packing`), and the hyperplane Tverberg depth of q is the size of a
 maximum packing. At d = 1 and d >= 3 it is computed that way
 (`_packing_size`). The pieces and the packing size are kept in the
-arrangement's query slot for q (`Arrangement._query`), where the enclosing
+arrangement's record of q (`Arrangement._query`), where the enclosing
 depth at the same q reads them.
 
 In the plane (d = 2) the packing size is read from the circular order of
@@ -67,9 +67,9 @@ least P + K(Z) = K(Y).
 
 The rule is computed in O(n) from the arrangement's sorted signed normals
 (`Arrangement.signed_normals`) filtered by q's sign masks; the filtered
-order and each position's half-turn reach stay in the query slot, where
-the planar enclosing depth reads them. `max_packing` over the pieces stays
-the oracle in the tests at every d.
+order, each position's half-turn reach and the direction blocks stay in
+q's record, where the planar enclosing depth reads them. `max_packing`
+over the pieces stays the oracle in the tests at every d.
 
 `solve_tverberg` turns this into a constructive solver. For a fixed
 partition the points where every part has depth >= 1 form a closed union of
@@ -84,7 +84,7 @@ from . import linprog
 from .cells import candidate_points
 from .depth import regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
-from .geometry import SLOT_ORDER, SLOT_PACKING, SLOT_PIECES, SLOT_RD, point, record
+from .geometry import point, record
 
 
 @record
@@ -154,7 +154,7 @@ def solve_tverberg(arr, r, seed=0):
     core = arr.subset(range(min(n, r * (arr.dimension + 1))))
     for sub in (core, arr) if len(core) < n else (arr,):
         for q in candidate_points(sub):
-            pos, zero = sub.sign_masks(q)  # plain masks: a scan keeps no slot
+            pos, zero = sub.sign_masks(q)  # plain masks: a scan keeps no record
             if planar and _planar_size(len(sub), *_order(sub, pos, zero)) < r:
                 continue  # the rule's upper bound alone: no r disjoint pieces at q
             pieces = max_packing(_pieces(sub, pos, zero))
@@ -199,25 +199,27 @@ def coverable_pieces(arr, q):
     {h} with s_h = 0 and the circuit supports free of them whose positive part
     is exactly their set of positive residuals.
 
-    The pieces are kept in the arrangement's query slot for q
+    The pieces are kept in the arrangement's record of q
     (`Arrangement._query`), so HTvD and HED at one q find them once.
     """
     slot = arr._query(q)
-    pieces = slot[SLOT_PIECES]
-    if pieces is None:
-        pieces = arr._keep(slot, SLOT_PIECES, tuple(_pieces(arr, slot[1], slot[2])))
-    return pieces
+    if slot.pieces is None:
+        slot.pieces = tuple(_pieces(arr, slot.pos, slot.zero))
+    return slot.pieces
 
 
 def _order(arr, pos, zero):
     """The signed normals y_h of the planar hyperplanes off a point with residual sign masks (pos, zero).
 
-    Returns (ys, reach). ys holds the entries of `Arrangement.signed_normals`
-    for y_h = sign(s_h) a_h, in counter-clockwise order, with no sort.
-    reach[p] is the last position in p..p+m-1 (p + m is p one turn on)
-    whose y is at most a half-turn counter-clockwise from the y at p; it
-    rises with p, so one pass finds it. reach has 2m entries, the second m
-    one turn on.
+    Returns (ys, reach, blocks). ys holds the entries of
+    `Arrangement.signed_normals` for y_h = sign(s_h) a_h, in
+    counter-clockwise order, with no sort. reach[p] is the last position in
+    p..p+m-1 (p + m is p one turn on) whose y is at most a half-turn
+    counter-clockwise from the y at p; it rises with p, so one pass finds
+    it. reach has 2m entries, the second m one turn on. Equal directions
+    form one block of ys: blocks maps each block number, in order, to
+    (first, last, antipode), its first and last positions and the block
+    number of the opposite direction.
     """
     sides = (~(pos | zero), pos)  # sides[positive] has bit h when y_h is a_h (positive = 1) or -a_h (0)
     ys = [e for e in arr.signed_normals if sides[e[1]] >> e[0] & 1]
@@ -225,26 +227,28 @@ def _order(arr, pos, zero):
     ts = [e[2] for e in ys]
     ts += [t + 2 * len(arr) for t in ts]
     reach = []
-    r = 0
+    blocks = {}
+    r = first = 0
     for p, e in enumerate(ys):
         r = max(r, p)
         while ts[r + 1] <= e[3]:  # ts[p + m] is past e[3], which lies within one turn
             r += 1
         reach.append(r)
+        if p + 1 == m or ys[p + 1][4] != e[4]:
+            blocks[e[4]] = (first, p, e[5])
+            first = p + 1
     reach += [r + m for r in reach]
-    return ys, reach
+    return ys, reach, blocks
 
 
-def _planar_order(arr, q):
-    """`_order` at q, kept in the query slot for q."""
-    slot = arr._query(q)
-    order = slot[SLOT_ORDER]
-    if order is None:
-        order = arr._keep(slot, SLOT_ORDER, _order(arr, slot[1], slot[2]))
-    return order
+def _planar_order(arr, slot):
+    """`_order` at the query of the record ``slot``, kept there."""
+    if slot.order is None:
+        slot.order = _order(arr, slot.pos, slot.zero)
+    return slot.order
 
 
-def _planar_size(n, ys, reach):
+def _planar_size(n, ys, reach, blocks):
     """HTvD in the plane by the rule of the module docstring: u + min(P + (m - 2P) // 3, min over w of c(w)).
 
     Equal directions form one block of ys, of cb vectors. Its last position
@@ -264,47 +268,39 @@ def _planar_size(n, ys, reach):
     once per antipodal pair of blocks.
     """
     m = len(ys)
-    blocks = {}  # block -> (its last position, its number of vectors)
-    first = 0
-    for p, e in enumerate(ys):
-        if p + 1 == m or ys[p + 1][4] != e[4]:
-            blocks[e[4]] = (p, p + 1 - first)
-            first = p + 1
     pairs = 0
     cut = m
-    for b, (p, cb) in blocks.items():
-        anti = ys[p][5]
-        ca = blocks[anti][1] if anti in blocks else 0
-        both = min(cb, ca)
+    for b, (first, last, anti) in blocks.items():
+        ca = blocks[anti][1] + 1 - blocks[anti][0] if anti in blocks else 0
+        both = min(last + 1 - first, ca)
         if b < anti:
             pairs += both
-        cut = min(cut, reach[p] - p - ca + both)
+        cut = min(cut, reach[last] - last - ca + both)
     return n - m + min(pairs + (m - 2 * pairs) // 3, cut)
 
 
 def _planar_depth(arr, q):
-    """HTvD of a planar arrangement at q by `_planar_size`, kept in the query slot as the packing size."""
-    order = _planar_order(arr, q)
-    slot = arr._query(q)  # read after the order is in it
-    if slot[SLOT_PACKING] is not None:
-        return slot[SLOT_PACKING]
-    return arr._keep(slot, SLOT_PACKING, _planar_size(len(arr), *order))
+    """HTvD of a planar arrangement at q by `_planar_size`, kept in q's record as the packing size."""
+    slot = arr._query(q)
+    if slot.packing is None:
+        slot.packing = _planar_size(len(arr), *_planar_order(arr, slot))
+    return slot.packing
 
 
 def _packing_size(arr, q):
-    """The size of a maximum packing of q's coverable pieces, kept in the query slot for q.
+    """The size of a maximum packing of q's coverable pieces, kept in the arrangement's record of q.
 
     A greedy packing, pieces smallest first and then by mask, is maximum
     when it reaches an upper bound: the s singleton pieces, plus |U| // c
     for the union U of the larger pieces and their least size c. With unit
     weights a partition into r parts of depth >= 1 has RD >= r, so RD joins
-    the bound when the slot already holds it. `max_packing` runs only when
+    the bound when the record already holds it. `max_packing` runs only when
     greedy falls short.
     """
+    slot = arr._query(q)
+    if slot.packing is not None:
+        return slot.packing
     pieces = coverable_pieces(arr, q)
-    slot = arr._query(q)  # read after the pieces are in it
-    if slot[SLOT_PACKING] is not None:
-        return slot[SLOT_PACKING]
     used = size = singles = union = least = 0
     for piece in sorted(pieces, key=lambda m: (m.bit_count(), m)):
         if not piece & used:
@@ -317,11 +313,12 @@ def _packing_size(arr, q):
             union |= piece
             least = least or k  # the pieces come smallest first
     bound = singles + (union.bit_count() // least if union else 0)
-    if arr.weight_tables[1] is None and slot[SLOT_RD] is not None:
-        bound = min(bound, slot[SLOT_RD][0])
+    if arr.weight_tables[1] is None and slot.rd is not None:
+        bound = min(bound, slot.rd[0])
     if size < bound:
         size = len(max_packing(pieces))
-    return arr._keep(slot, SLOT_PACKING, size)
+    slot.packing = size
+    return size
 
 
 def max_packing(pieces):
@@ -377,9 +374,9 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     of q and the cached signed circuits of the normals (`coverable_pieces`),
     and packed exactly (`_packing_size`): a greedy packing when it reaches
     the upper bound min(RD, s + |U| // c), `max_packing` otherwise. RD is in
-    that bound only with unit weights and only when the query slot already
+    that bound only with unit weights and only when q's record already
     holds it, so HTvD itself never computes direction cells. The packing
-    size (and the pieces or the planar order) stay in the query slot for
+    size (and the pieces or the planar order) stay in q's record for
     HED. Beyond the exact threshold, at every d, the raised
     ExactBudgetExceeded carries a greedy lower bound: pieces taken smallest
     first, then in lexicographic order, when disjoint from those already

@@ -271,6 +271,18 @@ def test_usage_errors_keep_their_text_and_exit_code(monkeypatch, capsys):
     assert exc.value.code == 0 and "depthmap" in capsys.readouterr().out
 
 
+def test_query_with_a_leading_minus_parses_as_one_token(tmp_path, capsys):
+    """`--query -1/2,3` reports exactly what `--query=-1/2,3` does, where argparse alone reads an option."""
+    path = tmp_path / "seven.json"
+    path.write_text(dump_json(generate_instance(1, 2, 7, "generic")))
+    for command in (["depth", "--measure", "rd-open"], ["htvd"], ["axioms", "--kind", "rd", "--trials", "2"]):
+        for q in ("-1/2,3", "-.5,-2", "-3,1/7"):
+            assert run(command + [f"--query={q}", str(path)])[0] == 0
+            joined = capsys.readouterr()
+            assert run(command + ["--query", q, str(path)])[0] == 0
+            assert capsys.readouterr() == joined and joined.out, (command, q)
+
+
 def test_missing_file_exit_1():
     code, rep = run(["depth", "--measure", "rd", "--query", "0,0", "/nonexistent/file.json"])
     assert code == 1

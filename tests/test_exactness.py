@@ -11,11 +11,15 @@ import), and none calls `exec` or `eval`. Records use `geometry.record`.
 
 A third scan keeps module-global mutable caches out: no function changes a
 module-level name. Per-arrangement results live on the arrangement (its
-cached properties and its query slot), per-call ones in locals.
+cached properties and its query record), per-call ones in locals.
 
 A fourth scan keeps dead helpers out: every module-level function is named
 somewhere in the package outside its own body, or exported by
 `arrdepth/__init__.py`. Test-only code lives in `tests/` as an oracle.
+
+A fifth scan keeps the query record `geometry`'s own: no other module names
+`_slot`, `_Query` or `_keep`, so the measures reach q's state only through
+`Arrangement._query` and the record's named fields.
 """
 
 import ast
@@ -218,3 +222,44 @@ def test_no_dead_helpers_in_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     exported = {name for names in arrdepth._EXPORTS.values() for name in names}
     assert _dead_helpers(trees, exported) == []
+
+
+# What only `geometry` may know of an arrangement's query record.
+RECORD_INTERNALS = {"_slot", "_Query", "_keep"}
+
+
+def _record_internals(tree):
+    """Lines that name one of RECORD_INTERNALS: as a name, an attribute, an imported name or a string."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in RECORD_INTERNALS:
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_scanner_sees_record_internals():
+    src = (
+        "from .geometry import _Query\n"  # line 1
+        "def f(arr, q):\n    slot = arr._query(q)\n    return slot.pos, arr._slot\n"  # line 4
+        "def g(arr):\n    return vars(arr)['_slot'], getattr(arr, '_keep'), _Query\n"  # line 6
+    )
+    assert _record_internals(ast.parse(src)) == [1, 4, 6]
+
+
+def test_only_geometry_knows_the_query_record():
+    package = Path(arrdepth.__file__).parent
+    offending = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "geometry":
+            offending += [f"{path.name}:{line}" for line in _record_internals(ast.parse(path.read_text()))]
+    assert offending == []

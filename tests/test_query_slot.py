@@ -1,8 +1,8 @@
-"""The one-query slot of an arrangement: the per-query measures share q's work without changing an answer.
+"""The one-query record of an arrangement: the per-query measures share q's work without changing an answer.
 
 RD, RD', TRD, HTvD and HED at one q read q's sign masks, coverable pieces,
 packing size and RD from `Arrangement._query`. Each measure is compared here
-with the same measure on a fresh arrangement, whose slot is empty, over
+with the same measure on a fresh arrangement, which holds no record, over
 queries taken in shuffled order and from several threads at once. Thread
 switches land where the scheduler puts them, so the two interleavings that
 could mix two queries are also played out in one thread.
@@ -15,10 +15,12 @@ from functools import partial
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from arrdepth import linalg
 from arrdepth.depth import deepest_point, open_regression_depth, regression_depth, truncated_regression_depth
 from arrdepth.enclosing import hyperplane_enclosing_depth
-from arrdepth.geometry import SLOT_RD, Arrangement, generate_instance, hyperplane
+from arrdepth.geometry import Arrangement, generate_instance, hyperplane
 from arrdepth.tverberg import coverable_pieces, hyperplane_tverberg_depth
 
 MEASURES = {
@@ -132,8 +134,10 @@ def test_the_slot_holds_one_query():
         for measure in MEASURES.values():
             measure(arr, q)
     slot = vars(arr)["_slot"]
-    assert slot[0] == qs[-1] and slot[1:3] == arr.sign_masks(qs[-1])
-    assert None not in slot  # RD, the pieces and their packing were all filled in for the last query
+    assert slot.q == qs[-1] and (slot.pos, slot.zero) == arr.sign_masks(qs[-1])
+    assert slot.neg == (1 << len(arr)) - 1 & ~(slot.pos | slot.zero)
+    # RD, the pieces, their packing and the planar order were all filled in for the last query
+    assert None not in (slot.pieces, slot.packing, slot.rd, slot.order)
     cached = {"circuits", "int_rows", "direction_cells", "signed_normals", "weight_tables", "total_weight"}
     assert set(vars(arr)) - before <= cached | {"_slot"}  # nothing else keeps a query
 
@@ -141,8 +145,9 @@ def test_the_slot_holds_one_query():
 def test_interleavings_never_mix_two_queries():
     """What a thread switch can do, played out in one thread.
 
-    Another query takes the slot while q1's masks are computed, or after q1
-    has read the slot and before it keeps its RD there.
+    Another query takes the arrangement's record while q1's masks are
+    computed, or after q1 has read its record and before it keeps its RD
+    there.
     """
     arr = generate_instance(3, 2, 8, "generic")
     q1, q2 = deepest_point(arr)[0], (Fraction(10**6), Fraction(10**6))
@@ -155,9 +160,16 @@ def test_interleavings_never_mix_two_queries():
 
     object.__setattr__(arr, "sign_masks", switching)  # an instance attribute, read before the class's method
     slot = arr._query(q1)
-    assert slot[0] == q1 and slot[1:3] == plain(arr, q1)
+    assert slot.q == q1 and (slot.pos, slot.zero) == plain(arr, q1)
     far = regression_depth(arr, q2)
     assert regression_depth(_fresh(arr), q1) != far
-    arr._keep(slot, SLOT_RD, regression_depth(_fresh(arr), q1))
+    slot.rd = regression_depth(_fresh(arr), q1)
     assert regression_depth(arr, q2) == far == regression_depth(_fresh(arr), q2)
     assert regression_depth(arr, q1) == regression_depth(_fresh(arr), q1)
+
+
+def test_the_record_has_no_field_a_typo_could_make():
+    slot = generate_instance(3, 2, 8, "generic")._query((Fraction(1, 3), Fraction(2, 7)))
+    with pytest.raises(AttributeError):
+        slot.packng = 3
+    assert slot.packing is None

@@ -281,6 +281,6 @@ def test_query_slot_is_not_a_field():
     for twin in (pickle.loads(pickle.dumps(tri)), copy.copy(tri), copy.deepcopy(tri)):
         assert twin == tri and hash(twin) == hash(tri) and repr(twin) == repr(tri)
         assert tverberg.hyperplane_tverberg_depth(twin, (9, 9)) == tverberg.hyperplane_tverberg_depth(fresh, (9, 9))
-        assert vars(twin)["_slot"][0] == (9, 9)
-    assert vars(tri)["_slot"][0] == (0, 0)  # each copy has its own slot
+        assert vars(twin)["_slot"].q == (9, 9)
+    assert vars(tri)["_slot"].q == (0, 0)  # each copy has its own record
     assert depth.regression_depth(tri, (0, 0)) == depth.regression_depth(fresh, (0, 0))

@@ -30,7 +30,7 @@ from arrdepth.depth import (
     regression_depth,
     truncated_regression_depth,
 )
-from arrdepth.geometry import SLOT_PIECES, Arrangement, generate_instance, hyperplane
+from arrdepth.geometry import Arrangement, generate_instance, hyperplane
 from arrdepth.planar import build_subdivision, label_depth
 from arrdepth.tverberg import _packing_size, coverable_pieces, hyperplane_tverberg_depth, max_packing
 
@@ -287,7 +287,7 @@ def test_packing_size_on_piece_families():
             pieces.append(sum(1 << i for i in rng.sample(rest, rng.randint(2, min(4, len(rest))))))
         pieces = tuple(dict.fromkeys(pieces))
         fresh = _fresh(arr)
-        fresh._keep(fresh._query(q), SLOT_PIECES, pieces)
+        fresh._query(q).pieces = pieces
         expected = len(max_packing(pieces))
         assert _packing_size(fresh, q) == expected, pieces
         short += _greedy(pieces) < expected
