@@ -139,10 +139,7 @@ def _tope_counts(arr, pos, neg, rule):
         masks = [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
     else:
         masks = [(pos & tn) | (neg & tp) | (full & ~tp & ~tn) for tp, tn in arr.direction_cells[1]]
-    _, tables = arr.weight_tables
-    if tables is None:
-        return list(map(int.bit_count, masks))
-    return [sum(t[m >> 8 * c & 255] for c, t in enumerate(tables)) for m in masks]
+    return _weights(arr, masks)
 
 
 def _min_count(arr, pos, neg, rule):
@@ -199,19 +196,21 @@ def regression_depth(arr, q):
     return slot.rd
 
 
-def _new_perturbed_cells(circuits, zero):
+def _new_perturbed_cells(circuits, zero, seen=()):
     """Sign patterns on the incident hyperplanes ``zero`` whose cell the perturbation creates.
 
     ``circuits`` are the signed circuits of the incident normals; a pattern
     is the submask of ``zero`` of the hyperplanes with sigma_h = +1. Yields,
     in increasing order, the patterns whose open cone is empty (some circuit
     conforms) and whose perturbed cell is not (no conforming circuit is
-    positive at its lowest index).
+    positive at its lowest index). The patterns in ``seen``, those of some
+    direction cell, have an open cone, so they are skipped untested.
     """
     bits = 0
     while True:
-        conforming = [(supp, plus) for supp, plus in circuits if plus == supp & bits]
-        if conforming and not any(plus & supp & -supp for supp, plus in conforming):
+        # each conforming circuit's sign at its lowest index (0 for -)
+        lows = () if bits in seen else [plus & supp & -supp for supp, plus in circuits if plus == supp & bits]
+        if lows and not any(lows):
             yield bits
         if bits == zero:
             return
@@ -271,12 +270,15 @@ def _open_groups(arr, pos, neg, zero):
     return groups
 
 
-def _weight(arr, mask):
-    """The weight of the hyperplanes in ``mask``, as an integer over `arr.weight_tables`' denominator."""
+def _weights(arr, masks):
+    """The weight of the hyperplanes in each of ``masks``, as integers over `arr.weight_tables`' denominator."""
     _, tables = arr.weight_tables
     if tables is None:
-        return mask.bit_count()
-    return sum(t[mask >> 8 * c & 255] for c, t in enumerate(tables))
+        return list(map(int.bit_count, masks))
+    out = [tables[0][m & 255] for m in masks]
+    for c, t in enumerate(tables[1:], 1):
+        out = [w + t[m >> 8 * c & 255] for w, m in zip(out, masks)]
+    return out
 
 
 def _open_depth(arr, pos, neg):
@@ -292,10 +294,11 @@ def _open_depth(arr, pos, neg):
     (`_open_groups`). A pattern's open cone is empty exactly when no cell has
     it, so by Gordan's alternative the incident normals have no circuit when
     all 2^m patterns occur: q is locally generic and `linalg.signed_circuits`
-    is not called. Otherwise each new perturbed pattern (`_new_perturbed_cells`)
-    is evaluated over the groups, the least of group minimum plus the
-    weight the pattern's signs add, ties to the first cell; the first
-    strictly deepest pattern gives the certificate.
+    is not called. Otherwise each new perturbed pattern (`_new_perturbed_cells`,
+    which tests only the patterns no cell has) is evaluated over the
+    groups, the least of group minimum plus the weight the pattern's signs
+    add (`_weights`, one pass for all groups), ties to the first cell; the
+    first strictly deepest pattern gives the certificate.
     """
     zero = ((1 << len(arr)) - 1) & ~(pos | neg)
     rows = arr.int_rows
@@ -309,8 +312,11 @@ def _open_depth(arr, pos, neg):
     groups = _open_groups(arr, pos, neg, zero)
     if len(groups) < 1 << m:
         deepest = None
-        for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in rows], zero), zero):
-            count, j = min((count + _weight(arr, zero & (plus ^ key)), j) for key, (count, j) in groups.items())
+        keys, counts, firsts = list(groups), [c for c, _ in groups.values()], [j for _, j in groups.values()]
+        for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in rows], zero), zero, groups):
+            totals = [c + w for c, w in zip(counts, _weights(arr, [zero & (plus ^ key) for key in keys]))]
+            count = min(totals)
+            j = min(j for total, j in zip(totals, firsts) if total == count)
             if deepest is None or count > deepest[0]:
                 deepest = count, j
         if deepest is not None:

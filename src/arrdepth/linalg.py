@@ -5,11 +5,15 @@ ints by `integer_vector`, and `_reduce` runs the one elimination of the
 package on them: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968).
 `rank`, `_solve` (with `solve`), `kernel_vector` and `signed_circuits` all
 read its reduced rows; results become `Fraction`s only on return.
+`signed_circuits` of a small kernel (dimension at most d, as at a query's
+incident normals) reads every circuit off a kernel basis, one small
+elimination per (c-1)-set of coordinates, in place of the subset scan.
 `integer_vector` is also the one scaling behind canonical hyperplanes and
 rays.
 """
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -98,11 +102,16 @@ def kernel_vector(matrix, ncols=None):
     free = next((c for c in range(len(rows[0])) if c not in pivots), None)
     if free is None:
         return None
-    x = [Fraction(0)] * len(rows[0])
-    x[free] = Fraction(1)
+    return tuple(Fraction(c, den) for c in _null_vector(rows, pivots, den, free, len(rows[0])))
+
+
+def _null_vector(rows, pivots, p, free, ncols):
+    """The kernel vector of rows reduced by `_reduce` that is p at column ``free`` and 0 at the other free columns."""
+    x = [0] * ncols
+    x[free] = p
     for row, col in zip(rows, pivots):
-        x[col] = Fraction(-row[free], den)
-    return tuple(x)
+        x[col] = -row[free]
+    return x
 
 
 def integer_vector(v):
@@ -126,9 +135,41 @@ def signed_circuits(vectors, among=None):
     are both returned. Bit i stands for vectors[i]. Supports have at most
     d+1 elements; they come in order of size, then lexicographically. Given
     a bitmask ``among``, only the circuits with support in it are found.
+
+    The m selected vectors are eliminated once. When their kernel has
+    dimension c = m - rank <= d, the circuits are read off it: a circuit is
+    the support of a kernel vector that vanishes on c - 1 coordinates and is
+    unique there up to scale, since a smaller support would vanish there
+    too. Otherwise, as for a full build, the subsets are scanned by size.
     """
     cols = {i: integer_vector(v) for i, v in enumerate(vectors) if among is None or among >> i & 1}
     d = len(vectors[0]) if vectors else 0
+    idx = list(cols)
+    m = len(idx)
+    rows = [list(r) for r in zip(*cols.values())]
+    pivots, p = _reduce(rows, m) if m <= 2 * d else ((), 0)  # else c >= m - d > d
+    free = [f for f in range(m) if f not in pivots]
+    if len(free) <= d:
+        if not free:
+            return []
+        kcols = list(zip(*[_null_vector(rows, pivots, p, f, m) for f in free]))  # a kernel basis, by coordinate
+        found = {}
+        for zeros in combinations(kcols, len(free) - 1):
+            sub = list(zeros)
+            lpiv, lp = _reduce(sub, len(free))
+            if len(lpiv) < len(sub):
+                continue  # more than one kernel direction vanishes there
+            lam = _null_vector(sub, lpiv, lp, next(j for j in range(len(free)) if j not in lpiv), len(free))
+            supp = plus = 0
+            for i, kc in zip(idx, kcols):
+                v = sum(map(operator.mul, lam, kc))
+                supp |= bool(v) << i
+                plus |= (v > 0) << i
+            found[supp] = plus if plus >> (supp.bit_length() - 1) else supp ^ plus  # + at the highest index
+        out = []
+        for mask in sorted(found, key=lambda s: (s.bit_count(), [i for i in idx if s >> i & 1])):
+            out += [(mask, found[mask]), (mask, mask ^ found[mask])]
+        return out
     out = []
     smaller = []  # supports of the circuits found with fewer elements
     for k in range(1, d + 2):

@@ -377,17 +377,19 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     that bound only with unit weights and only when q's record already
     holds it, so HTvD itself never computes direction cells. The packing
     size (and the pieces or the planar order) stay in q's record for
-    HED. Beyond the exact threshold, at every d, the raised
-    ExactBudgetExceeded carries a greedy lower bound: pieces taken smallest
-    first, then in lexicographic order, when disjoint from those already
-    taken.
+    HED. Beyond the exact threshold the raised ExactBudgetExceeded carries
+    a lower bound: at d = 2 the exact value of the planar rule, with no
+    circuit built; otherwise a greedy packing, pieces taken smallest first,
+    then in lexicographic order, when disjoint from those already taken.
     """
     n = len(arr)
     q = point(q)
     if n == 0:
         return 0
-    if n <= exact_threshold and arr.dimension == 2:
-        return _planar_depth(arr, q)
+    if arr.dimension == 2:
+        if n <= exact_threshold:
+            return _planar_depth(arr, q)
+        raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=_planar_depth(arr, q))
     pieces = coverable_pieces(arr, q)
     if n > exact_threshold:
         used = bound = 0

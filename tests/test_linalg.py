@@ -91,6 +91,44 @@ def test_elimination_matches_fraction_oracle(system):
     assert linalg.signed_circuits(rows, mask) == expected
 
 
+def test_signed_circuits_from_the_kernel_and_the_scan_match_oracle():
+    """Both sides of `signed_circuits` give the oracle's list, in its order, on masked families at d = 1-4.
+
+    A family holds zero, parallel, duplicate and combined vectors; its
+    selected vectors have a kernel of dimension c <= d (read off the kernel)
+    or c > d (the subset scan), and both sides are met often.
+    """
+    rng = random.Random("linalg:circuit-sides")
+    sides = {False: 0, True: 0}
+    for trial in range(1500):
+        d = 1 + trial % 4
+        vecs = []
+        for _ in range(rng.randint(1, 8)):
+            r = rng.random()
+            if r < 0.05:
+                vecs.append((0,) * d)
+            elif r < 0.3 and vecs:
+                vecs.append(tuple(Fraction(rng.choice((1, -1, -2, 3)), rng.choice((1, 2))) * c for c in rng.choice(vecs)))
+            elif r < 0.45 and len(vecs) >= 2:
+                u, v = rng.sample(vecs, 2)
+                vecs.append(tuple(rng.randint(-2, 2) * a + rng.randint(-2, 2) * b for a, b in zip(u, v)))
+            else:
+                vecs.append(tuple(rng.randint(-3, 3) for _ in range(d)))
+        among = [i for i in range(len(vecs)) if rng.random() < 0.75]
+        mask = sum(1 << i for i in among)
+
+        def spread(bits):
+            return sum(1 << i for j, i in enumerate(among) if bits >> j & 1)
+
+        chosen = [vecs[i] for i in among]
+        expected = [(spread(supp), spread(plus)) for supp, plus in oracle.signed_circuits(chosen)]
+        assert linalg.signed_circuits(vecs, mask) == expected, (vecs, among)
+        assert linalg.signed_circuits(vecs) == oracle.signed_circuits(vecs), vecs
+        if chosen:
+            sides[len(chosen) - oracle.rank([list(r) for r in zip(*chosen)]) <= d] += 1
+    assert min(sides.values()) >= 300, sides
+
+
 def _two_loop_general_position(arr):
     """The scan `is_general_position` replaced: min(d, n)-subsets by rank, then (d+1)-subsets by a solve."""
     d, n = arr.dimension, len(arr)
