@@ -66,27 +66,6 @@ complete every partial transversal through the groups chosen so far to a
 valid set, and cuts a partial choice as soon as too few such indices remain
 to fill the groups left (`_search_max_k`). Those indices are read from the
 pieces on demand, so neither the valid sets nor their subsets are listed.
-Level 1 needs no search: its certificate is the lexicographically first
-valid (d+1)-set (`_first_valid`).
-
-Without ``strict``, levels are first refuted from the direction cells of
-RD. For a cell c with sign masks (tp, tn), the closed hit set
-H_c = full & ~((pos & tp) | (neg & tn)) holds the hyperplanes that a ray
-from q in c meets (those through q at its start).
-
-Lemma. Groups G_1, ..., G_{d+1} k-enclose q iff every H_c contains some G_i.
-
-Proof. A transversal T is valid iff RD(T, q) >= 1 with every weight 1.
-The closed count of T never rises when a direction moves off a
-hyperplane into an adjacent cell, so its least value is taken inside
-some direction cell c, where it is |T & H_c|: T is valid iff it meets
-every H_c. If every H_c holds a group, every transversal meets every
-H_c. If no group lies inside some H_c, picking one index per group
-outside H_c gives a transversal that misses it.
-
-So level k is infeasible when some |H_c| < k, or when the hit sets of
-size exactly k, each of which must then be a group, overlap or number
-more than d + 1 (`_cell_cap`). Hit sets count hyperplanes, not weights.
 """
 
 from fractions import Fraction
@@ -277,44 +256,6 @@ def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
     return 0, None
 
 
-def _cell_cap(arr, slot, k_cap):
-    """The highest level k <= k_cap, down to 1, that the closed hit sets of the direction cells do not refute.
-
-    Level k >= 2 is refuted when some hit set has fewer than k hyperplanes,
-    or those of exactly k, which must each be a group, overlap or number
-    more than d + 1 (lemma of the module docstring).
-    """
-    full, pos, neg = (1 << len(arr)) - 1, slot.pos, slot.neg
-    hits = {full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]}
-    least = min(map(int.bit_count, hits))
-    while k_cap >= 2:
-        tight = [hit for hit in hits if hit.bit_count() == k_cap]
-        union = 0
-        for hit in tight:
-            union |= hit
-        if least >= k_cap and len(tight) <= arr.dimension + 1 and union.bit_count() == k_cap * len(tight):
-            break
-        k_cap -= 1
-    return k_cap
-
-
-def _first_valid(n, d, pieces):
-    """Level 1 without search: (1, the lexicographically first valid (d+1)-set as singleton groups), or (0, None).
-
-    The first (d+1)-set holding a piece is its piece padded with the lowest
-    indices outside it, so the first valid set is the least of those, and
-    the one `_search_max_k` finds at level 1.
-    """
-    best = None
-    for p in pieces:
-        for _ in range(d + 1 - p.bit_count()):
-            p |= ~p & (p + 1)  # the lowest index outside p
-        first = [h for h in range(n) if p >> h & 1]
-        if best is None or first < best:
-            best = first
-    return (0, None) if best is None else (1, tuple((h,) for h in best))
-
-
 def _planar_max_k(arr, q, k_cap):
     """Largest k <= k_cap with a k-enclosure of q at d = 2, and its groups, by rules (0), (B) and (A).
 
@@ -403,11 +344,7 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     docstring (`_planar_max_k`), with no circuit, piece or search; the
     groups are then sorted and ordered by their first index. Otherwise
     (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels over
-    the pieces kept in the record. Without ``strict``, when the record
-    already holds RD and the start level is 2 or more, the levels that
-    RD's direction cells refute (`_cell_cap`) are skipped first; level 1 is
-    read from the pieces with no search (`_first_valid`). Neither changes
-    the answer or its certificate, so they depend only on d and
+    the pieces kept in the record. The path depends only on d and
     ``strict``. Exact for n <= exact_threshold and d <= 3; larger instances
     raise ExactBudgetExceeded carrying the lower bound 1 when some
     (d+1)-set is valid, else 0: without ``strict`` that is when HTvD >= 1,
@@ -433,12 +370,9 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
         k, groups = _planar_max_k(arr, q, k_cap)
     else:
         pieces = coverable_pieces(arr, q)
-        slot = arr._query(q)
         if strict:
             pieces = [p for p in pieces if p.bit_count() == d + 1]
-        elif k_cap >= 2 and slot.rd is not None:
-            k_cap = _cell_cap(arr, slot, k_cap)
-        k, groups = _first_valid(n, d, pieces) if k_cap == 1 else _search_max_k(n, d, pieces, k_cap)
+        k, groups = _search_max_k(n, d, pieces, k_cap)
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)

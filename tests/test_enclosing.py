@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from test_sign_rules import degenerate_case
 
-from arrdepth import enclosing, linalg
-from arrdepth.depth import deepest_point, regression_depth
+from arrdepth import linalg
+from arrdepth.depth import deepest_point
 from arrdepth.enclosing import (
     EnclosureCertificate,
     hyperplane_enclosing_depth,
@@ -13,7 +13,7 @@ from arrdepth.enclosing import (
     verify_enclosure,
 )
 from arrdepth.errors import CertificateError, ExactBudgetExceeded
-from arrdepth.geometry import Arrangement, evaluate, generate_instance
+from arrdepth.geometry import evaluate, generate_instance
 
 
 Q_IN = (Fraction(1, 4), Fraction(1, 4))
@@ -106,33 +106,6 @@ def test_strict_interior_flag(tri):
     assert k_loose >= k_strict
 
 
-def test_levels_refuted_by_the_cells_are_never_searched(monkeypatch):
-    """With RD in q's record, a level the direction cells refute never reaches `_search_max_k`.
-
-    At these d = 3 queries on a hyperplane, HED alone searches from level
-    2 and finds 1; after RD the cells refute level 2, and level 1 is read
-    from the pieces with no search at all. The answers are the same.
-    """
-    search = enclosing._search_max_k
-    calls = []
-
-    def spy(n, d, pieces, k_cap, *args, **kwargs):
-        calls.append(k_cap)
-        return search(n, d, pieces, k_cap, *args, **kwargs)
-
-    monkeypatch.setattr(enclosing, "_search_max_k", spy)
-    for seed in (2, 4, 26, 58):
-        arr, qs = degenerate_case(seed, 3, 8)
-        q = qs[2]
-        calls.clear()
-        alone = hyperplane_enclosing_depth(Arrangement(3, arr.hyperplanes), q)
-        assert calls == [2] and alone[0] == 1, (seed, calls, alone)
-        fresh = Arrangement(3, arr.hyperplanes)
-        regression_depth(fresh, q)
-        calls.clear()
-        assert hyperplane_enclosing_depth(fresh, q) == alone and calls == [], (seed, calls)
-
-
 def _certificates():
     """HED, plain and strict, at d = 2 and 3: degenerate cases, and generated instances at the deepest point and a vertex."""
     for seed in range(12):
@@ -144,7 +117,6 @@ def _certificates():
             for arr, qs in ((arr, qs), (generated, [deepest_point(generated)[0], vertex])):
                 for q in qs:
                     for strict in (False, True):
-                        regression_depth(arr, q)  # at d = 3 the cells then cap the levels
                         k, cert = hyperplane_enclosing_depth(arr, q, strict=strict)
                         yield f"{d} {seed} {q} {strict} {k} {cert.groups if cert else None}"
 
@@ -152,9 +124,8 @@ def _certificates():
 def test_hed_certificates_are_pinned():
     """Which groups HED returns, not only its level, is fixed: the certificates hash to a committed digest.
 
-    A change to rule (B), (A) or the padding at d = 2, or to the search, the
-    level cap or level 1 at d = 3, that still finds valid certificates
-    moves this digest.
+    A change to rule (B), (A) or the padding at d = 2, or to the search at
+    d = 3, that still finds valid certificates moves this digest.
     """
     lines = list(_certificates())
     assert len(lines) == 360

@@ -19,18 +19,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_sign_rules import degenerate_case
 
 from arrdepth import enclosing, linalg
-from arrdepth.depth import (
-    _count_signs,
-    _min_count,
-    _new_perturbed_cells,
-    _signs_at,
-    _tope_counts,
-    deepest_point,
-    regression_depth,
-)
+from arrdepth.depth import _count_signs, _min_count, _new_perturbed_cells, _signs_at, _tope_counts, deepest_point
 from arrdepth.enclosing import (
     EnclosureCertificate,
     _planar_max_k,
@@ -40,7 +31,7 @@ from arrdepth.enclosing import (
 )
 from arrdepth.errors import ExactBudgetExceeded
 from arrdepth.geometry import Arrangement, evaluate, generate_instance, hyperplane
-from arrdepth.tverberg import _pieces, coverable_pieces, max_packing
+from arrdepth.tverberg import _pieces, max_packing
 
 
 def _normal(rng, d):
@@ -203,41 +194,6 @@ def test_pruned_enclosure_search_matches_unpruned():
     assert found >= 30
     with pytest.raises(ExactBudgetExceeded):
         _search_max_k(6, 2, {0b111}, 2, node_budget=0)
-
-
-def test_level_one_from_the_pieces_matches_search():
-    """Level 1 without search (`_first_valid`) gives exactly what `_search_max_k` finds at k_cap = 1."""
-    rng = random.Random("kernel:level-one")
-    found = 0
-    for trial in range(300):
-        d = (1, 2, 3)[trial % 3]
-        n = rng.randint(d + 1, 10)
-        if trial % 2:
-            pieces = sorted(_valid_family(rng, n, d))
-        else:
-            pieces = sorted({sum(1 << i for i in rng.sample(range(n), rng.randint(1, d + 1))) for _ in range(n // 3)})
-        assert enclosing._first_valid(n, d, pieces) == _search_max_k(n, d, pieces, 1), (n, d, pieces)
-        found += bool(pieces)
-    assert found >= 250 and enclosing._first_valid(5, 2, []) == (0, None)
-
-
-def test_cell_cap_skips_only_levels_without_enclosure():
-    """Every level that RD's cells refute (`_cell_cap`) has no k-enclosure, at d = 1 and 3."""
-    refuted = {1: 0, 3: 0}
-    for seed in range(20):
-        for d, n in ((1, 5), (1, 8), (3, 6), (3, 8)):
-            arr, qs = degenerate_case(seed, d, n)
-            generated = generate_instance(seed, d, n, ("generic", "weighted")[seed % 2])
-            point = tuple(Fraction(seed - 10, 7) for _ in range(d))
-            for arr, qs in ((arr, qs), (generated, [deepest_point(generated)[0], point])):
-                for q in qs:
-                    regression_depth(arr, q)
-                    slot, pieces = arr._query(q), coverable_pieces(arr, q)
-                    for k in range(2, n // (d + 1) + 1):
-                        if enclosing._cell_cap(arr, slot, k) < k:
-                            refuted[d] += 1
-                            assert _search_max_k(n, d, pieces, k)[0] < k, (arr, q, k)
-    assert min(refuted.values()) >= 20, refuted
 
 
 def _materialised_search(n, d, valid, k_cap):
