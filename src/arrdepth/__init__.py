@@ -25,6 +25,7 @@ _EXPORTS = {
         "point",
         "triangle",
     ),
+    "cells": ("enumerate_faces",),
     "depth": (
         "DepthCertificate",
         "DirectionalCount",

@@ -8,20 +8,25 @@ Two related tasks live here:
   ray count is constant on each cell and never smaller on a cell boundary
   than in an adjacent cell.
 * affine faces: every face of an affine arrangement, each with its sign
-  vector and a rational relative-interior representative.
+  bitmasks and a rational relative-interior representative.
 
-One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986). The
-faces on a hyperplane H are the faces of its trace arrangement {H' cap H},
-enumerated in d-1 coordinates of H and lifted back, with their signs read
-from the trace signs. It bottoms out at d = 1, where the points c / a are
-read directly and sorted, so the planar complex is one case of it. The
-cells are reached from the facets: a facet's two cells have its signs with
-its zeros set to + and to -, and only a cell met for the first time is
-given a point, the facet's nudged to that side. The recursion runs on
-Python ints: a representative is an integer point (nums, den) standing for
-nums / den, and nothing is evaluated twice. Representatives become
-`Fraction` tuples only on the way out. A central arrangement in d >= 3 is
-read off its two affine slices u_d = +-1, which every open cell meets.
+One recursion serves every d (Edelsbrunner, O'Rourke and Seidel 1986), on
+sign bitmasks (pos, neg) made by `_masks`: bit i of pos (neg) is set when
+row i's residual is positive (negative) on the face. The faces on a
+hyperplane H are the faces of its trace arrangement {H' cap H}, enumerated
+in d-1 coordinates of H and lifted back with the trace masks. A trace keeps
+every row, so a bit names the same hyperplane at every level: rows parallel
+to H, and H itself, become constants with a zero normal, which have no
+faces and set their bit on every face. It bottoms out at d = 1, where the
+points c / a are read directly and sorted, so the planar complex is one
+case of it. The cells are reached from the facets: a facet's two cells
+have its masks with its zeros moved to pos and to neg, and only a cell met
+for the first time is given a point, the facet's nudged to that side. The
+recursion runs on Python ints: a representative is an integer point
+(nums, den) standing for nums / den, and nothing is evaluated twice. Only
+`enumerate_faces` turns masks into sign tuples and points into `Fraction`s.
+A central arrangement in d >= 3 is read off its two affine slices
+u_d = +-1, which every open cell meets.
 """
 
 import math
@@ -134,25 +139,32 @@ def signed_normal_order(normals):
 
 
 def _direction_cells_sliced(lines, d):
-    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign key, as integer vectors."""
+    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign masks, as integer vectors."""
     reps = []
     seen = set()
     for z in (1, -1):
-        # a.u = 0 meets {u_d = z} in the hyperplane a' . u' = -a_d z of the slice
-        slice_hs = [(a[:-1], -a[-1] * z) for a in lines if any(a[:-1])]
-        for _, (nums, den), dim in _faces(slice_hs, d - 1):
-            if dim != d - 1:
-                continue
-            u = nums + (z * den,)
-            key = tuple(_sign(sum(map(mul, a, u))) for a in lines)
-            if key not in seen:
-                seen.add(key)
-                reps.append(u)
+        # a.u = 0 meets {u_d = z} in the row a'.u' = -a_d z of the slice, a constant where a' = 0. Its
+        # residual at u' is a.u, so a slice cell's masks are the signs of the lines on it in both slices.
+        for masks, (nums, den), dim in _faces([(a[:-1], -a[-1] * z) for a in lines], d - 1):
+            if dim == d - 1 and masks not in seen:
+                seen.add(masks)
+                reps.append(nums + (z * den,))
     return reps
 
 
 def _sign(v):
     return (v > 0) - (v < 0)
+
+
+def _masks(values):
+    """(pos, neg) bitmasks of a sequence of numbers: bit i of pos (neg) is set when values[i] > 0 (< 0)."""
+    pos = neg = 0
+    for i, v in enumerate(values):
+        if v > 0:
+            pos |= 1 << i
+        elif v < 0:
+            neg |= 1 << i
+    return pos, neg
 
 
 def _lowest(nums, den):
@@ -164,35 +176,40 @@ def _lowest(nums, den):
 
 
 def _faces(hyperplanes, d):
-    """Every face of the arrangement {x : a.x = c} in R^d as (signs, rep, dim).
+    """Every face of the arrangement {x : a.x = c} in R^d as ((pos, neg), rep, dim).
 
-    ``hyperplanes`` are (normal, offset) pairs of ints with nonzero normals.
-    ``rep`` is an integer point (nums, den), den > 0 and in lowest terms,
-    standing for nums / den; it lies in the relative interior of its face.
-    Lower faces come first, by dimension, then the cells; every sign vector
-    occurs once.
+    ``hyperplanes`` are (normal, offset) pairs of ints, and bit i of the
+    masks is row i; a row with a zero normal is a constant, whose residual
+    -c sets its bit on every face (none for 0 = 0). ``rep`` is an integer
+    point (nums, den), den > 0 and in lowest terms, standing for nums / den;
+    it lies in the relative interior of its face. Lower faces come first,
+    by dimension, then the cells; every pair of masks occurs once.
     """
-    if not hyperplanes:
-        return [((), ((0,) * d, 1), d)]
+    live = [i for i, (a, _) in enumerate(hyperplanes) if any(a)]
+    if not live:
+        return [(_masks([-c for _, c in hyperplanes]), ((0,) * d, 1), d)]
     if d == 1:
-        return _line_faces(hyperplanes)
-    found = _lifted_faces(hyperplanes, d)
-    faces = sorted(((s, x, dim) for s, (x, dim) in found.items()), key=lambda f: f[2])
-    gram = [[sum(map(mul, a, a2)) for a2, _ in hyperplanes] for a, _ in hyperplanes]
+        return _line_faces(hyperplanes, live)
+    found = _lifted_faces(hyperplanes, live, d)
+    faces = sorted(((m, x, dim) for m, (x, dim) in found.items()), key=lambda f: f[2])
+    crosses = {i: [sum(map(mul, aj, hyperplanes[i][0])) for aj, _ in hyperplanes] for i in live}
+    sides = {i: (cross, *_masks(cross)) for i, cross in crosses.items()}  # a_j.a_i, rows j with it > 0, < 0
+    live_bits = sum(1 << i for i in live)
     cells = {}
-    for signs, (num, den), dim in faces:
+    for (pos, neg), (num, den), dim in faces:
         if dim != d - 1:
             continue
-        # The facet's zeros are the copies of one hyperplane a.x = c, so its two cells'
-        # signs are its own with each zero j set to +-sign(a_j.a). Only a new cell needs
-        # a point: nudge the facet p = num / den off a.x = c to both sides by half the
-        # nearest crossing step S / (C den), where S / C = min |s_j| / |a_j.a| over the
-        # integer residuals s_j = den (a_j.p - c_j) with a_j.a != 0, to
-        # (2C num +- S a) / (2C den). With no crossing, the step is 1: p +- a.
-        i = signs.index(0)
-        a, cross = hyperplanes[i][0], gram[i]
-        up = tuple([s or (x > 0) - (x < 0) for s, x in zip(signs, cross)])
-        down = tuple([s or (x < 0) - (x > 0) for s, x in zip(signs, cross)])
+        # The facet's live zeros are the copies of one hyperplane a.x = c, row i the lowest of them,
+        # so its two cells have its masks with each such zero j moved to the side +-sign(a_j.a). Only
+        # a new cell needs a point: nudge the facet p = num / den off a.x = c to both sides by half
+        # the nearest crossing step S / (C den), where S / C = min |s_j| / |a_j.a| over the integer
+        # residuals s_j = den (a_j.p - c_j) with a_j.a != 0, to (2C num +- S a) / (2C den). With no
+        # crossing, the step is 1: p +- a.
+        zero = live_bits & ~(pos | neg)
+        i = (zero & -zero).bit_length() - 1
+        cross, plus, minus = sides[i]
+        up = (pos | zero & plus, neg | zero & minus)
+        down = (pos | zero & minus, neg | zero & plus)
         if up in cells and down in cells:
             continue
         S = C = 0
@@ -202,14 +219,15 @@ def _faces(hyperplanes, d):
                 S, C = abs(s), abs(x)
         if not C:
             S, C = 2 * den, 1
+        a = hyperplanes[i][0]
         for t, key in ((S, up), (-S, down)):
             if key not in cells:
                 cells[key] = _lowest(tuple(2 * C * v + t * w for v, w in zip(num, a)), 2 * C * den)
-    return faces + [(s, q, d) for s, q in cells.items()]
+    return faces + [(m, q, d) for m, q in cells.items()]
 
 
-def _line_faces(hyperplanes):
-    """`_faces` at d = 1: the points c / a in order of hyperplanes, then the open intervals.
+def _line_faces(hyperplanes, live):
+    """`_faces` at d = 1: the points c / a of the live rows in order, then the open intervals.
 
     At x = c / a, a_j x - c_j has the sign of a (a_j c - a c_j). Each point
     meets the interval on the side of its first hyperplane's normal, then the
@@ -218,27 +236,28 @@ def _line_faces(hyperplanes):
     normal when there is one point. This is the nudge of the higher levels,
     so the representatives are the same.
     """
-    points = {}  # (num, den) of a point -> (signs, normal of its first hyperplane), in order of hyperplanes
-    for (a,), c in hyperplanes:
+    points = {}  # (num, den) of a point -> (masks, normal of its first hyperplane), in order of hyperplanes
+    for i in live:
+        (a,), c = hyperplanes[i]
         (n,), den = _lowest((c,), a)
         if (n, den) not in points:
-            res = [a * (aj * c - a * cj) for (aj,), cj in hyperplanes]
-            points[n, den] = (tuple([(v > 0) - (v < 0) for v in res]), a)
+            points[n, den] = (_masks([a * (aj * c - a * cj) for (aj,), cj in hyperplanes]), a)
     ordered = sorted(points, key=cmp_to_key(_ratio_cmp))
     rank = {p: r for r, p in enumerate(ordered)}
     gaps = [(q[0] * p[1] - p[0] * q[1], p[1] * q[1]) for p, q in zip(ordered, ordered[1:])]
-    normal_signs = [_sign(aj) for (aj,), _ in hyperplanes]
-    cells = {}  # r -> (signs, rep) of the interval between the points of rank r - 1 and r
-    for (n, den), (signs, a) in points.items():
+    plus, minus = _masks([aj for (aj,), _ in hyperplanes])
+    cells = {}  # r -> (masks, rep) of the interval between the points of rank r - 1 and r
+    for (n, den), ((pos, neg), a) in points.items():
         r = rank[n, den]
+        zero = ~(pos | neg)
         around = gaps[max(r - 1, 0) : r + 1]  # to the neighbours
         gn, gd = min(around, key=cmp_to_key(_ratio_cmp)) if around else (2 * abs(a), 1)
         for step in (1, -1) if a > 0 else (-1, 1):
             j = r + (step > 0)
             if j not in cells:
-                key = tuple([s or step * t for s, t in zip(signs, normal_signs)])
+                key = (pos | zero & plus, neg | zero & minus) if step > 0 else (pos | zero & minus, neg | zero & plus)
                 cells[j] = (key, _lowest((2 * n * gd + step * gn * den,), 2 * den * gd))
-    return [(s, ((n,), den), 0) for (n, den), (s, _) in points.items()] + [(s, x, 1) for s, x in cells.values()]
+    return [(m, ((n,), den), 0) for (n, den), (m, _) in points.items()] + [(m, x, 1) for m, x in cells.values()]
 
 
 def _ratio_cmp(p, q):
@@ -246,40 +265,32 @@ def _ratio_cmp(p, q):
     return p[0] * q[1] - q[0] * p[1]
 
 
-def _lifted_faces(hyperplanes, d):
-    """The faces on the hyperplanes, d >= 2, from their traces, as {signs: (rep, dim)} in order of discovery."""
+def _lifted_faces(hyperplanes, live, d):
+    """The faces on the live rows, d >= 2, from their traces, as {(pos, neg): (rep, dim)} in order of discovery."""
     found = {}
-    for a, c in hyperplanes:
+    for i in live:
         # Trace on a.x = c: eliminate x_k, the first coordinate with a_k != 0.
         # On a.x = c, a_k (a2.x - c2) is a positive multiple of the residual of
-        # a2's trace row, so a lifted face's signs are its trace signs times
-        # sign(a_k). A row with zero normal (a2 parallel to a, or a itself)
-        # has the constant residual -(its offset) there and is dropped.
-        k = next(i for i, v in enumerate(a) if v != 0)
+        # a2's trace row, so a lifted face's masks are its trace masks, swapped
+        # when a_k < 0. A row parallel to a traces to a constant, and a.x = c
+        # itself to 0 = 0.
+        a, c = hyperplanes[i]
+        k = next(j for j, v in enumerate(a) if v != 0)
         ak, rest = a[k], a[:k] + a[k + 1 :]
-        trace, pick, consts = [], [], []
+        trace = []
         for a2, c2 in hyperplanes:
             b = a2[k]
             normal = [ak * v - b * w for v, w in zip(a2, a)]
             off = ak * c2 - b * c
-            if any(normal):
-                g = math.gcd(*normal, off)  # coprime trace rows; normal[k] is 0
-                pick.append(len(trace))
-                trace.append((tuple(v // g for i, v in enumerate(normal) if i != k), off // g))
-            else:
-                pick.append(-1 - len(consts))
-                consts.append(_sign(-off))
-        tail = tuple(reversed(consts))  # index -1 - m of (trace signs + tail) is consts[m]
-        for ts, (ny, dy), dim in _faces(trace, d - 1):
-            ext = ts + tail
-            if ak < 0:
-                ext = tuple(-s for s in ext)
-            signs = tuple(map(ext.__getitem__, pick))
-            if signs in found:  # found before on another hyperplane through it
+            g = math.gcd(*normal, off) or 1  # coprime trace rows; normal[k] is 0
+            trace.append((tuple(v // g for v in normal[:k] + normal[k + 1 :]), off // g))
+        for (tp, tn), (ny, dy), dim in _faces(trace, d - 1):
+            masks = (tp, tn) if ak > 0 else (tn, tp)
+            if masks in found:  # found before on another hyperplane through it
                 continue
             # x_k = (c - rest.y) / a_k, over the common denominator a_k dy
             nx = (*(ak * v for v in ny[:k]), c * dy - sum(map(mul, rest, ny)), *(ak * v for v in ny[k:]))
-            found[signs] = (_lowest(nx, ak * dy), dim)
+            found[masks] = (_lowest(nx, ak * dy), dim)
     return found
 
 
@@ -289,8 +300,11 @@ def enumerate_faces(arr):
     Exact and LP-free: `_faces` recurses on hyperplane traces down to a
     point. Lower faces come first, by dimension, then the cells.
     """
-    faces = _faces(arr.int_rows, arr.dimension)
-    return [(s, tuple(Fraction(v, den) for v in nums), dim) for s, (nums, den), dim in faces]
+    n = len(arr)
+    return [
+        (tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(n)]), tuple(Fraction(v, den) for v in nums), dim)
+        for (pos, neg), (nums, den), dim in _faces(arr.int_rows, arr.dimension)
+    ]
 
 
 def candidate_points(arr):
@@ -305,7 +319,7 @@ def candidate_points(arr):
     Tverberg point are both decided on the candidates.
     """
     if linalg.rank([a for a, _ in arr.int_rows]) < arr.dimension:
-        return [rep for _, rep, _ in enumerate_faces(arr)]
+        return [tuple(Fraction(v, den) for v in nums) for _, (nums, den), _ in _faces(arr.int_rows, arr.dimension)]
     return sorted({v for _, v in subset_vertices(arr) if v is not None})
 
 

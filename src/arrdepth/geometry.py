@@ -279,14 +279,7 @@ class Arrangement:
 
     def _signs(self, nums, den) -> tuple[int, int]:
         """(pos, neg) bitmasks of the signs of a_i . nums - b_i den: a point nums / den, or a direction with den = 0."""
-        pos = neg = 0
-        for i, (a, b) in enumerate(self.int_rows):
-            s = sum(map(operator.mul, a, nums)) - b * den
-            if s > 0:
-                pos |= 1 << i
-            elif s < 0:
-                neg |= 1 << i
-        return pos, neg
+        return cells._masks([sum(map(operator.mul, a, nums)) - b * den for a, b in self.int_rows])
 
     def sign_masks(self, q) -> tuple[int, int]:
         """Residual signs of q as (pos, zero) bitmasks: bit i of pos (zero) is set when a_i . q - b_i > 0 (= 0).

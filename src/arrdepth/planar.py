@@ -1,22 +1,22 @@
 """Planar line-arrangement face complexes, depth labeling, regions and SVG maps.
 
-Faces come from `cells.enumerate_faces` and are kept combinatorially (sign
-vectors and their bitmasks plus one exact interior representative each).
-Geometry is read from the face lattice, with nothing clipped: the closure of
-a face inside a bounding box at twice the vertex extent is spanned by the
-candidate corners in it, which are the arrangement vertices, the two box
-points of each line and the four box corners. A point lies in the closure of
-a face iff its sign bitmasks are subsets of the face's. Region topology is
-decided on the combinatorial complex; the box only enters the
-Euler-characteristic bookkeeping, where it is a deformation retract of the
-unbounded complex.
+Faces come from the face recursion `cells._faces` and are kept
+combinatorially: the (pos, neg) sign bitmasks it returns, with bit i for
+hyperplane i, plus one exact interior representative each. Geometry is read
+from the face lattice, with nothing clipped: the closure of a face inside a
+bounding box at twice the vertex extent is spanned by the candidate corners
+in it, which are the arrangement vertices, the two box points of each line
+and the four box corners. A point lies in the closure of a face iff its sign
+bitmasks are subsets of the face's. Region topology is decided on the
+combinatorial complex; the box only enters the Euler-characteristic
+bookkeeping, where it is a deformation retract of the unbounded complex.
 """
 
 import math
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-from .cells import _angle_cmp, enumerate_faces
+from .cells import _angle_cmp, _faces
 from .depth import MeasureKind, _depth_at_masks, _masks_at
 from .errors import DimensionError
 from .geometry import Arrangement, record
@@ -26,10 +26,9 @@ from .geometry import Arrangement, record
 class PlanarFace:
     index: int
     dim: int
-    signs: tuple
     rep: tuple
-    pos: int  # bit i set iff signs[i] > 0
-    neg: int  # bit i set iff signs[i] < 0
+    pos: int  # bit i set iff hyperplane i's residual is positive on the face
+    neg: int  # bit i set iff hyperplane i's residual is negative on the face
     degenerate: bool = False  # vertex where more than two distinct lines meet
 
 
@@ -78,8 +77,8 @@ class PlanarSubdivision:
         them counter-clockwise about their mean, starting from the +x direction
         (`cells._angle_cmp`), an edge gives the two ends of its segment and a
         vertex its point. An edge tests only the corners on its own line, and
-        passes them to the two cells it bounds, whose signs are the edge's with
-        its zero bits set to + or to -; a cell adds the box corners inside it.
+        passes them to the two cells it bounds, whose masks are the edge's with
+        its zero bits moved to pos or to neg; a cell adds the box corners inside it.
         A cell's corners are sorted on integer numerators over one common
         denominator. Computed on first use and kept with the subdivision.
         """
@@ -130,17 +129,6 @@ def _over_one_den(p):
     return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
 
 
-def _sign_bits(signs):
-    """A sign vector as (pos, neg) bitmasks."""
-    pos = neg = 0
-    for i, s in enumerate(signs):
-        if s > 0:
-            pos |= 1 << i
-        elif s < 0:
-            neg |= 1 << i
-    return pos, neg
-
-
 def _box_points(bbox, a, c):
     """The two points where the line a.x = c meets the box boundary, counter-clockwise from (xmin, ymin).
 
@@ -179,9 +167,9 @@ def build_subdivision(arr: Arrangement) -> PlanarSubdivision:
             lead |= 1 << i
     distinct = [((arr[i].normal[0], arr[i].normal[1]), arr[i].offset) for i in first.values()]
     faces = []
-    for i, (signs, rep, dim) in enumerate(enumerate_faces(arr)):
-        pos, neg = _sign_bits(signs)
-        faces.append(PlanarFace(i, dim, signs, rep, pos, neg, dim == 0 and (lead & ~(pos | neg)).bit_count() > 2))
+    for i, ((pos, neg), (nums, den), dim) in enumerate(_faces(arr.int_rows, 2)):
+        rep = tuple(Fraction(v, den) for v in nums)
+        faces.append(PlanarFace(i, dim, rep, pos, neg, dim == 0 and (lead & ~(pos | neg)).bit_count() > 2))
     # bounding box at twice the extent of vertices and line anchors
     ext = Fraction(1)
     pts = [f.rep for f in faces if f.dim == 0]
@@ -360,9 +348,7 @@ def render_svg(sub: PlanarSubdivision, table: DepthTable, deepest=None, size=100
     )
     out.append(f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>')
     out.append('<g id="faces">')
-    for f in sub.cells:
-        if not f.signs:
-            continue  # empty arrangement: background stands for the single cell
+    for f in sub.cells if len(sub.arrangement) else ():  # empty arrangement: background stands for the single cell
         poly = sub.polygons[f.index]
         if len(poly) < 3:
             continue

@@ -287,22 +287,19 @@ def _planar_depth(arr, q):
     return slot.packing
 
 
-def _packing_size(arr, q):
-    """The size of a maximum packing of q's coverable pieces, kept in the arrangement's record of q.
+def _greedy_packing(arr, q):
+    """A greedy packing size of q's coverable pieces and an upper bound on the maximum, as (size, bound).
 
-    A greedy packing, pieces smallest first and then by mask, is maximum
-    when it reaches an upper bound: the s singleton pieces, plus |U| // c
-    for the union U of the larger pieces and their least size c. With unit
-    weights a partition into r parts of depth >= 1 has RD >= r, so RD joins
-    the bound when the record already holds it. `max_packing` runs only when
-    greedy falls short.
+    The greedy takes the pieces smallest first and then by mask, each when
+    disjoint from those taken. The bound is the s singleton pieces plus
+    |U| // c for the union U of the larger pieces and their least size c.
+    With unit weights a partition into r parts of depth >= 1 has RD >= r, so
+    RD joins the bound when q's record already holds it. A greedy size that
+    meets the bound is the maximum.
     """
     slot = arr._query(q)
-    if slot.packing is not None:
-        return slot.packing
-    pieces = coverable_pieces(arr, q)
     used = size = singles = union = least = 0
-    for piece in sorted(pieces, key=lambda m: (m.bit_count(), m)):
+    for piece in sorted(coverable_pieces(arr, q), key=lambda m: (m.bit_count(), m)):
         if not piece & used:
             used |= piece
             size += 1
@@ -315,10 +312,16 @@ def _packing_size(arr, q):
     bound = singles + (union.bit_count() // least if union else 0)
     if arr.weight_tables[1] is None and slot.rd is not None:
         bound = min(bound, slot.rd[0])
-    if size < bound:
-        size = len(max_packing(pieces))
-    slot.packing = size
-    return size
+    return size, bound
+
+
+def _packing_size(arr, q):
+    """The size of a maximum packing of q's coverable pieces, kept in q's record: greedy's or `max_packing`'s."""
+    slot = arr._query(q)
+    if slot.packing is None:
+        size, bound = _greedy_packing(arr, q)
+        slot.packing = size if size >= bound else len(max_packing(coverable_pieces(arr, q)))
+    return slot.packing
 
 
 def max_packing(pieces):
@@ -377,10 +380,10 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
     that bound only with unit weights and only when q's record already
     holds it, so HTvD itself never computes direction cells. The packing
     size (and the pieces or the planar order) stay in q's record for
-    HED. Beyond the exact threshold the raised ExactBudgetExceeded carries
-    a lower bound: at d = 2 the exact value of the planar rule, with no
-    circuit built; otherwise a greedy packing, pieces taken smallest first,
-    then in lexicographic order, when disjoint from those already taken.
+    HED. Beyond the exact threshold `max_packing` never runs: at d = 2 the
+    raised ExactBudgetExceeded carries the exact value of the planar rule as
+    its bound, with no circuit built; otherwise the greedy size is returned
+    when it meets its bound, and is the raised lower bound when it does not.
     """
     n = len(arr)
     q = point(q)
@@ -390,14 +393,12 @@ def hyperplane_tverberg_depth(arr, q, exact_threshold=12):
         if n <= exact_threshold:
             return _planar_depth(arr, q)
         raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=_planar_depth(arr, q))
-    pieces = coverable_pieces(arr, q)
-    if n > exact_threshold:
-        used = bound = 0
-        for piece in sorted(pieces, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1])):
-            if not piece & used:
-                used |= piece
-                bound += 1
-        raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=bound)
+    slot = arr._query(q)
+    if n > exact_threshold and slot.packing is None:
+        size, bound = _greedy_packing(arr, q)
+        if size < bound:
+            raise ExactBudgetExceeded(f"n={n} exceeds exact threshold {exact_threshold}", bound=size)
+        slot.packing = size
     return _packing_size(arr, q)
 
 

@@ -353,3 +353,34 @@ def test_integer_direction_cells_2d_match_fraction_sort():
         fresh = Arrangement(2, arr.hyperplanes)  # its direction cells are not cached yet
         assert fresh.direction_cells == (tuple(reps), masks), arr
         assert all(type(c) is Fraction for u in fresh.direction_cells[0] for c in u)
+
+
+def _spread(mask, positions):
+    """The bitmask with bit positions[j] set for each bit j of mask."""
+    return sum(1 << p for j, p in enumerate(positions) if mask >> j & 1)
+
+
+def test_faces_with_constant_rows_set_their_bits_on_every_face():
+    # A zero-normal row a.x = c is a constant with residual -c: the faces are those of the live rows,
+    # in the same order and with the same points, each with the constant rows' sign bits (none for 0 = 0).
+    rng = random.Random("cells:constant-rows")
+    checked = set()
+    for i, arr in enumerate(arr for arr in _parity_cases() if arr.dimension <= 3):
+        d = arr.dimension
+        live = list(arr.int_rows)
+        consts = [((0,) * d, c) for c in (rng.choice((-3, -1, 0, 2, 5)) for _ in range(1 + i % 3))]
+        rows = list(live)
+        for row in consts:  # the live rows keep their order
+            rows.insert(rng.randint(0, len(rows)), row)
+        live_at = [p for p, (a, _) in enumerate(rows) if any(a)]
+        cpos = sum(1 << p for p, (a, c) in enumerate(rows) if not any(a) and c < 0)
+        cneg = sum(1 << p for p, (a, c) in enumerate(rows) if not any(a) and c > 0)
+        expected = [
+            ((_spread(pos, live_at) | cpos, _spread(neg, live_at) | cneg), rep, dim)
+            for (pos, neg), rep, dim in _faces(live, d)
+        ]
+        assert _faces(rows, d) == expected, (arr, rows)
+        checked.update((d, c) for _, c in consts)
+    assert {(d, c) for d in (1, 2, 3) for c in (-3, 0, 5)} <= checked
+    for d in (1, 2, 3):  # with no live row there is one face, the whole space
+        assert _faces([((0,) * d, 0), ((0,) * d, -2), ((0,) * d, 7)], d) == [((0b010, 0b100), ((0,) * d, 1), d)]

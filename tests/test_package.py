@@ -14,7 +14,7 @@ EXPORTED = [
     "PlanarSubdivision", "QueryEvaluation", "TransversalSolution", "TverbergCertificate", "arrangement", "axioms",
     "build_subdivision", "canonicalize", "cell_unbounded", "cells", "check_axioms", "check_contractible",
     "count_both", "deepest_point", "depth", "directional_count", "dual_tukey_depth", "dump_json", "enclosing",
-    "errors", "euler_counts", "evaluate", "extract_region", "frac", "generate_instance", "geometry", "hyperplane",
+    "enumerate_faces", "errors", "euler_counts", "evaluate", "extract_region", "frac", "generate_instance", "geometry", "hyperplane",
     "hyperplane_enclosing_depth", "hyperplane_tverberg_depth", "is_general_position", "label_depth", "linalg",
     "linprog", "load_json", "measure_value", "open_regression_depth", "oracle_depth", "planar", "point",
     "point_enclosing_depth", "regression_depth", "render_svg", "restrict", "restricted_depth",
@@ -24,7 +24,7 @@ EXPORTED = [
 
 
 def test_all_is_pinned():
-    # 54 functions and classes, and the 11 modules that define or support them
+    # 55 functions and classes, and the 11 modules that define or support them
     assert arrdepth.__all__ == EXPORTED
     assert sum(inspect.ismodule(getattr(arrdepth, name)) for name in EXPORTED) == 11
 

@@ -88,7 +88,7 @@ def test_face_representatives_interior():
     arr = generate_instance(3, 2, 5, "generic")
     sub = build_subdivision(arr)
     for face in sub.faces:
-        zeros = [i for i, s in enumerate(face.signs) if s == 0]
+        zeros = [i for i in range(len(arr)) if ~(face.pos | face.neg) >> i & 1]
         assert len(zeros) == 2 - face.dim
 
 
@@ -396,7 +396,7 @@ def test_corners_and_degenerate_flags_match_point_sets():
         sub = build_subdivision(arr)
         assert len(sub.corners) == len({p for poly in sub.polygons for p in poly}), arr
         for f in sub.faces:
-            lines = {h.geometry() for h, s in zip(arr, f.signs) if s == 0}
+            lines = {h.geometry() for i, h in enumerate(arr) if ~(f.pos | f.neg) >> i & 1}
             assert f.degenerate == (f.dim == 0 and len(lines) > 2), (arr, f)
 
 
@@ -442,3 +442,12 @@ def test_depthmap_marks_deepest_point(tmp_path, monkeypatch):
             else:
                 x, y = _screen(build_subdivision(arr).bbox, 1000)(expected)
                 assert f'<g id="deepest"><circle cx="{x}" cy="{y}" r="7"' in svg, (arr, measure)
+
+
+def test_face_masks_match_sign_masks_at_representatives():
+    cases = _polygon_cases() + [_degenerate(9300 + seed, 2, 3 + seed % 7) for seed in range(30)]
+    for arr in cases:
+        full = (1 << len(arr)) - 1
+        for f in build_subdivision(arr).faces:
+            pos, zero = arr.sign_masks(f.rep)
+            assert (f.pos, f.neg) == (pos, full & ~(pos | zero)), (arr, f)

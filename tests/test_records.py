@@ -72,7 +72,6 @@ def _cases():
             [
                 ("index", NO_DEFAULT),
                 ("dim", NO_DEFAULT),
-                ("signs", NO_DEFAULT),
                 ("rep", NO_DEFAULT),
                 ("pos", NO_DEFAULT),
                 ("neg", NO_DEFAULT),

@@ -160,3 +160,23 @@ def test_tverberg_point_depth_simplex():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2)]
     assert tverberg_point_depth(pts, (1, 1)) == 2  # two diagonals
     assert tverberg_point_depth(pts, (9, 9)) == 0
+
+
+def test_htvd_past_threshold_returns_greedy_when_it_meets_its_bound():
+    # Past the threshold at d != 2 no exact packing runs: a greedy packing that meets its upper
+    # bound is the value, and otherwise its size is the raised lower bound.
+    from arrdepth.depth import deepest_point
+
+    exact = bounded = 0
+    for seed, d, n in [(0, 1, 13), (1, 1, 14), (0, 3, 13), (1, 3, 14), (2, 3, 15)]:
+        q = deepest_point(generate_instance(seed, d, n))[0]
+        truth = hyperplane_tverberg_depth(generate_instance(seed, d, n), q, exact_threshold=n)
+        try:
+            value = hyperplane_tverberg_depth(generate_instance(seed, d, n), q)
+        except ExactBudgetExceeded as exc:
+            assert exc.bound <= truth, (seed, d, n)
+            bounded += 1
+        else:
+            assert value == truth, (seed, d, n)
+            exact += 1
+    assert exact >= 1 and bounded >= 1
