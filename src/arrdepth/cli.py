@@ -336,10 +336,7 @@ def _cmd_transversal(args):
         "status": sol.status,
     }
     verification = {
-        "ray_bounds_hold": all(
-            c.left + c.parallel >= arr.total_weight / 2 and c.right + c.parallel >= arr.total_weight / 2
-            for c, arr in zip(sol.counts, (a1, a2))
-        )
+        "ray_bounds_hold": all(min(rays) >= arr.total_weight / 2 for rays, arr in zip(sol.thresholds(), (a1, a2)))
     }
     return 0, outputs, verification
 

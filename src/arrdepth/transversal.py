@@ -6,15 +6,17 @@ basis coordinates) or is parallel to L. Rays inside L are parallel to every
 parallel hyperplane, so restricted depth adds the parallel weight to the
 depth of the restricted arrangement computed inside L.
 
-The planar solver (two arrangements, one line through the origin) sweeps the
-direction semicircle over its exact critical directions: directions of input
-lines (parallelism events) and directions from the origin to pairwise
-intersection points (where restricted points swap or collide). Between
-consecutive critical directions the restricted point order is constant, so
-testing every critical direction and one rational representative per open
-sector decides the existence question exactly; the guarantee that some
-direction succeeds comes from the center-transversal theorem the solver
-realizes.
+The planar solver (two arrangements, one line through the origin) scans the
+direction semicircle in angular order over its exact critical directions, on
+the arrangements' integer rows: directions of input lines (parallelism
+events) and directions from the origin to pairwise intersection points
+(where restricted points swap or collide). Between consecutive critical
+directions the restricted point order is constant, so testing every critical
+direction and one integer representative per open sector decides the
+existence question exactly; restricted points c / (a.u) are compared by
+cross-multiplication. The guarantee that some direction succeeds comes from
+the center-transversal theorem (Zivaljevic and Vrecica, 1990) the solver
+realizes, and the first success is re-verified by `depth.directional_count`.
 """
 
 from fractions import Fraction
@@ -22,8 +24,8 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from . import linalg
-from .cells import _angle_cmp, _rot90, normalize_ray
-from .depth import regression_depth
+from .cells import _angle_cmp, _angle_half, _ratio_cmp
+from .depth import _weights, directional_count, regression_depth
 from .errors import (
     DimensionError,
     FlatError,
@@ -91,6 +93,9 @@ def restricted_depth(arr: Arrangement, q, basis) -> Fraction:
     their full weight; the rest is exact regression depth of the restricted
     arrangement in flat coordinates.
     """
+    q = point(q)
+    if len(q) != arr.dimension:
+        raise DimensionError(f"query has dimension {len(q)}, expected {arr.dimension}")
     res = restrict(arr, basis)
     t = flat_coordinates(res.basis, q)
     inner, _ = regression_depth(res.restricted, t)
@@ -99,8 +104,8 @@ def restricted_depth(arr: Arrangement, q, basis) -> Fraction:
 
 def restricted_truncated_depth(arr: Arrangement, q, basis) -> Fraction:
     """Restricted depth truncated at total weight / (k + 1)."""
-    k = len(tuple(basis))
-    return min(arr.total_weight / (k + 1), restricted_depth(arr, q, basis))
+    basis = tuple(basis)
+    return min(arr.total_weight / (len(basis) + 1), restricted_depth(arr, q, basis))
 
 
 @record
@@ -122,130 +127,103 @@ class TransversalSolution:
         return tuple((c.left + c.parallel, c.right + c.parallel) for c in self.counts)
 
 
-def _canonical_semicircle(v):
-    v = normalize_ray(v)
-    if v[1] < 0 or (v[1] == 0 and v[0] < 0):
-        v = tuple(-c for c in v)
-    return v
+def _half_turn(v):
+    """An integer vector as coprime integers, turned into the half-turn y > 0, or y = 0 and x > 0."""
+    v = linalg.integer_vector(v)
+    return v if _angle_half(v) == 0 else (-v[0], -v[1])
 
 
-def _median_interval(points, need):
-    """Smallest and largest t with weight(p <= t) >= need and weight(p >= t) >= need."""
-    if need <= 0:
-        return (None, None)
-    pts = sorted(points)
-    cum = Fraction(0)
-    lo = None
-    for p, w in pts:
+def _median_ends(points, need):
+    """Both ends of the weighted median interval of sorted restricted points, or None if it is empty.
+
+    Points are ((num, den), weight) with den > 0, in increasing order; the
+    weights and ``need`` are integers over one denominator. The ends are the
+    least and the greatest point with 2 * weight >= need on each closed side.
+    """
+    cum = 0
+    for lo, w in points:
         cum += w
-        if cum >= need:
-            lo = p
+        if 2 * cum >= need:
             break
-    cum = Fraction(0)
-    hi = None
-    for p, w in reversed(pts):
+    else:
+        return None
+    cum = 0
+    for hi, w in reversed(points):
         cum += w
-        if cum >= need:
-            hi = p
+        if 2 * cum >= need:
             break
-    return (lo, hi)
-
-
-def _ray_counts(arr: Arrangement, q, u):
-    left = right = par = Fraction(0)
-    for h in arr:
-        c = linalg.dot(h.normal, u)
-        s = h.residual(q)
-        if c == 0:
-            par += h.weight
-            continue
-        if s * c <= 0:
-            right += h.weight
-        if s * c >= 0:
-            left += h.weight
-    return RayCounts(left, right, par)
+    return (lo, hi) if _ratio_cmp(lo, hi) <= 0 else None
 
 
 def solve_planar_transversal(a1: Arrangement, a2: Arrangement) -> TransversalSolution:
     """A line through the origin and a point on it that is half-deep for both arrangements.
 
-    Every returned solution is re-verified by direct ray counting at the exact
-    rational point; both closed rays (parallels added to each) carry at least
-    half the total weight of each arrangement.
+    Every returned solution is re-verified by `depth.directional_count` at the
+    exact rational point; both closed rays (parallels added to each) carry at
+    least half the total weight of each arrangement.
     """
     for arr in (a1, a2):
         if arr.dimension != 2:
             raise DimensionError("planar transversal requires d = 2")
-        for i, h in enumerate(arr):
-            if h.offset == 0:
+        for i, (_, c) in enumerate(arr.int_rows):
+            if c == 0:
                 raise OriginIncidenceError(f"hyperplane {i} passes through the origin")
 
-    criticals = set()
-    all_lines = [(h.normal, h.offset) for h in a1] + [(h.normal, h.offset) for h in a2]
-    for a, _ in all_lines:
-        criticals.add(_canonical_semicircle(_rot90(a)))
-    for (an, ac), (bn, bc) in combinations(all_lines, 2):
-        det = an[0] * bn[1] - an[1] * bn[0]
-        if det == 0:
-            continue
-        x = (ac * bn[1] - bc * an[1]) / det
-        y = (an[0] * bc - bn[0] * ac) / det
-        if x != 0 or y != 0:
-            criticals.add(_canonical_semicircle((x, y)))
+    rows = a1.int_rows + a2.int_rows
+    criticals = {_half_turn((-a[1], a[0])) for a, _ in rows}
+    for (a, c), (b, e) in combinations(rows, 2):
+        # the crossing point times a0 b1 - a1 b0; parallel lines give 0 or their own direction
+        v = (c * b[1] - e * a[1], a[0] * e - b[0] * c)
+        if v != (0, 0):
+            criticals.add(_half_turn(v))
     ordered = sorted(criticals, key=cmp_to_key(_angle_cmp))
 
-    candidates = []
-    if not ordered:
-        candidates.append((Fraction(1), Fraction(0)))
+    candidates = [] if ordered else [(1, 0)]
     for i, w in enumerate(ordered):
-        candidates.append(w)
-        if i + 1 < len(ordered):
-            nxt = ordered[i + 1]
-        else:
-            nxt = tuple(-c for c in ordered[0])  # wrap: the sector ends at the first direction + pi
+        # each critical, then the sector up to the next one (the last ends at the first + pi)
+        nxt = ordered[i + 1] if i + 1 < len(ordered) else (-ordered[0][0], -ordered[0][1])
         mid = (w[0] + nxt[0], w[1] + nxt[1])
-        if mid == (0, 0):
-            mid = _rot90(w)
-        candidates.append(normalize_ray(mid))
+        candidates += [w, linalg.integer_vector(mid if mid != (0, 0) else (-w[1], w[0]))]
 
-    halves = (a1.total_weight / 2, a2.total_weight / 2)
+    sides = []
+    for arr in (a1, a2):
+        weights = _weights(arr, [1 << i for i in range(len(arr))])
+        sides.append((list(zip(arr.int_rows, weights)), sum(weights)))
+    by_point = cmp_to_key(lambda p, r: _ratio_cmp(p[0], r[0]))
     for u in candidates:
-        intervals = []
-        ok = True
-        for arr, need_total in zip((a1, a2), halves):
-            pts = []
-            par = Fraction(0)
-            for h in arr:
-                c = linalg.dot(h.normal, u)
-                if c == 0:
-                    par += h.weight
+        lo = hi = None
+        pars = []
+        for weighted_rows, total in sides:
+            # the point of line (a, c) on the line through u is t = c / (a.u)
+            points = []
+            par = 0
+            for (a, c), w in weighted_rows:
+                s = a[0] * u[0] + a[1] * u[1]
+                if s == 0:
+                    par += w
                 else:
-                    pts.append((h.offset / c, h.weight))
-            need = need_total - par
-            lo, hi = _median_interval(pts, need)
-            if need > 0 and (lo is None or hi is None or lo > hi):
-                ok = False
+                    points.append(((c, s) if s > 0 else (-c, -s), w))
+            pars.append(par)
+            need = total - 2 * par  # the closed sides need 2 * (weight + par) >= total
+            if need <= 0:
+                continue
+            points.sort(key=by_point)
+            ends = _median_ends(points, need)
+            if ends is None:
                 break
-            intervals.append((lo, hi))
-        if not ok:
-            continue
-        lo = max((iv[0] for iv in intervals if iv[0] is not None), default=None)
-        hi = min((iv[1] for iv in intervals if iv[1] is not None), default=None)
-        if lo is not None and hi is not None and lo > hi:
-            continue
-        if lo is None and hi is None:
-            t = Fraction(0)
-        elif lo is None:
-            t = hi
-        elif hi is None:
-            t = lo
+            lo = ends[0] if lo is None or _ratio_cmp(ends[0], lo) > 0 else lo
+            hi = ends[1] if hi is None or _ratio_cmp(ends[1], hi) < 0 else hi
         else:
-            t = (lo + hi) / 2
-        q = (t * u[0], t * u[1])
-        counts = (_ray_counts(a1, q, u), _ray_counts(a2, q, u))
-        if all(
-            c.left + c.parallel >= need and c.right + c.parallel >= need
-            for c, need in zip(counts, halves)
-        ):
-            return TransversalSolution(u, t, q, counts, "exact")
+            if lo is not None and _ratio_cmp(lo, hi) > 0:
+                continue
+            t = Fraction(0) if lo is None else (Fraction(*lo) + Fraction(*hi)) / 2
+            q = (t * u[0], t * u[1])
+            counts = []
+            for arr, par in zip((a1, a2), pars):
+                par = Fraction(par, arr.weight_tables[0])
+                left = directional_count(arr, q, (-u[0], -u[1])) - par
+                counts.append(RayCounts(left, directional_count(arr, q, u) - par, par))
+            sol = TransversalSolution((Fraction(u[0]), Fraction(u[1])), t, q, tuple(counts), "exact")
+            if all(min(rays) >= arr.total_weight / 2 for rays, arr in zip(sol.thresholds(), (a1, a2))):
+                return sol
     raise PrecisionExceeded("exhausted exact critical directions without a verified solution")

@@ -1,17 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from arrdepth.depth import regression_depth
-from arrdepth.errors import FlatError, FlatMembershipError, OriginIncidenceError
-from arrdepth.geometry import arrangement, generate_instance
+from arrdepth.errors import DimensionError, FlatError, FlatMembershipError, OriginIncidenceError
+from arrdepth.geometry import Arrangement, arrangement, generate_instance, hyperplane
 from arrdepth.transversal import (
     restrict,
     restricted_depth,
     restricted_truncated_depth,
     solve_planar_transversal,
 )
+from transversal_oracle import oracle_transversal
 
 
 def test_restrict_all_parallel():
@@ -62,6 +64,13 @@ def test_restricted_depth_requires_membership():
         restricted_depth(arr, (1, 1), [(1, 0)])
 
 
+def test_restricted_depth_rejects_a_query_of_the_wrong_length():
+    arr = arrangement(2, [((1, 0), 1), ((1, 0), 3), ((1, 0), 5)])
+    for q in ((3,), (3, 0, 0)):
+        with pytest.raises(DimensionError):
+            restricted_depth(arr, q, [(1, 0)])
+
+
 def test_restriction_identity_full_space():
     rng = random.Random(3)
     basis = [(1, 0), (0, 1)]
@@ -76,6 +85,11 @@ def test_restriction_identity_full_space():
 def test_restricted_truncated():
     arr = arrangement(2, [((1, 0), 1), ((1, 0), 3), ((1, 0), 5)])
     assert restricted_truncated_depth(arr, (3, 0), [(1, 0)]) == Fraction(3, 2)
+
+
+def test_restricted_truncated_reads_an_iterator_basis_once():
+    arr = arrangement(2, [((1, 0), 1), ((1, 0), 3), ((1, 0), 5)])
+    assert restricted_truncated_depth(arr, (3, 0), iter([(1, 0)])) == Fraction(3, 2)
 
 
 def test_restricted_depth_upper_bound():
@@ -108,9 +122,9 @@ def test_transversal_requires_origin_avoidance():
         solve_planar_transversal(a, a)
 
 
-def _origin_avoiding(seed, n):
+def _origin_avoiding(seed, n, profile="generic"):
     while True:
-        arr = generate_instance(seed, 2, n, "generic")
+        arr = generate_instance(seed, 2, n, profile)
         if all(h.offset != 0 for h in arr):
             return arr
         seed += 10007
@@ -202,3 +216,103 @@ def test_sweep_order_constancy():
         s1 = (3 * w1[0] + w2[0], 3 * w1[1] + w2[1])
         s2 = (w1[0] + 3 * w2[0], w1[1] + 3 * w2[1])
         assert order_at(s1) == order_at(s2)
+
+
+def _degenerate_lines(rng, n):
+    """n lines off the origin: concurrent lines, duplicates written scaled, parallels, zero and rational weights."""
+    center = (rng.randint(-3, 3), rng.randint(-3, 3))
+    rows = []
+    while len(rows) < n:
+        r = rng.random()
+        if r < 0.3:
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+            c = a[0] * center[0] + a[1] * center[1]
+        elif r < 0.55 and rows:
+            (a0, c0), k = rng.choice(rows), rng.choice((1, 2, -3))
+            a = (k * a0[0], k * a0[1])
+            c = k * c0 + rng.choice((0, 0, 1, -2))  # 0: a duplicate, written scaled
+        else:
+            a = (rng.randint(-4, 4), rng.randint(-4, 4))
+            c = rng.randint(-5, 5)
+        if a != (0, 0) and c != 0:
+            rows.append((a, c))
+    weights = [rng.choice((0, 1, 1, 1, 2, Fraction(1, 2), Fraction(5, 3))) for _ in rows]
+    return arrangement(2, [(a, c, w) for (a, c), w in zip(rows, weights)])
+
+
+def _pair(i, profiles=("generic", "weighted", "degenerate", "degenerate")):
+    """Pair i: n up to 9 (up to 30 for every 25th pair); every 50th pair also meets the origin or is 3-d."""
+    rng = random.Random(f"transversal-pair:{i}")
+    n_max = 30 if i % 25 == 0 else 9
+    pair = []
+    for _ in range(2):
+        profile, n = rng.choice(profiles), rng.randint(0, n_max)
+        if profile == "degenerate":
+            pair.append(_degenerate_lines(rng, n))
+        else:
+            pair.append(_origin_avoiding(rng.randrange(10**6), n, profile))
+    if i % 50 == 7:
+        pair[1] = Arrangement(2, pair[1].hyperplanes + (hyperplane((1, -2), 0),))
+    if i % 50 == 17:
+        pair[0] = generate_instance(i, 3, 3)
+    return pair
+
+
+def _outcome(solve, a1, a2):
+    try:
+        return solve(a1, a2)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_transversal_matches_fraction_oracle():
+    """The scan returns the oracle's record (or raises its exception), and restricted depth finds the line half-deep."""
+    solved = 0
+    for i in range(500):
+        a1, a2 = _pair(i)
+        sol = _outcome(solve_planar_transversal, a1, a2)
+        assert sol == _outcome(oracle_transversal, a1, a2), i
+        if isinstance(sol, type):
+            continue
+        solved += 1
+        for arr in (a1, a2):
+            assert restricted_depth(arr, sol.q, [sol.direction]) >= arr.total_weight / 2
+    assert solved >= 480
+
+
+def _criterion_9_pairs():
+    """The pairs of `test_criterion_9_planar_transversal`."""
+    rng = random.Random("acc9")
+    for i in range(100):
+        arrs = []
+        for side in (0, 1):
+            seed = 80_000 + 2 * i + side
+            while True:
+                cand = generate_instance(seed, 2, rng.randint(1, 8), "generic")
+                if all(h.offset != 0 for h in cand):
+                    arrs.append(cand)
+                    break
+                seed += 100_003
+        yield arrs
+
+
+def _solutions():
+    pairs = list(_criterion_9_pairs()) + [_pair(1000 + i, ("weighted", "degenerate")) for i in range(100)]
+    for a1, a2 in pairs:
+        sol = _outcome(solve_planar_transversal, a1, a2)
+        if isinstance(sol, type):
+            yield sol.__name__
+        else:
+            yield f"{sol.direction} {sol.t} {sol.q} {[(c.left, c.right, c.parallel) for c in sol.counts]}"
+
+
+def test_transversal_solutions_are_pinned():
+    """Which line and point the scan returns, not only that they are half-deep, is fixed.
+
+    The solutions hash to a committed digest, taken from the `Fraction` scan
+    that `transversal_oracle` keeps.
+    """
+    lines = list(_solutions())
+    assert len(lines) == 200
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2b4d44ea11644d282a04249b405621eb1fc288f4b2666956638419ef24e82447"
