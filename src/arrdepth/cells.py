@@ -25,8 +25,8 @@ for the first time is given a point, the facet's nudged to that side. The
 recursion runs on Python ints: a representative is an integer point
 (nums, den) standing for nums / den, and nothing is evaluated twice. Only
 `enumerate_faces` turns masks into sign tuples and points into `Fraction`s.
-A central arrangement in d >= 3 is read off its two affine slices
-u_d = +-1, which every open cell meets.
+A central arrangement in d >= 3 is read off its affine slice u_d = 1: every
+open cell meets it, or is the antipode of a cell that does.
 """
 
 import math
@@ -139,17 +139,19 @@ def signed_normal_order(normals):
 
 
 def _direction_cells_sliced(lines, d):
-    """Cells of the slices u_d = 1, then u_d = -1, deduplicated by sign masks, as integer vectors."""
-    reps = []
-    seen = set()
-    for z in (1, -1):
-        # a.u = 0 meets {u_d = z} in the row a'.u' = -a_d z of the slice, a constant where a' = 0. Its
-        # residual at u' is a.u, so a slice cell's masks are the signs of the lines on it in both slices.
-        for masks, (nums, den), dim in _faces([(a[:-1], -a[-1] * z) for a in lines], d - 1):
-            if dim == d - 1 and masks not in seen:
-                seen.add(masks)
-                reps.append(nums + (z * den,))
-    return reps
+    """The cells of the slice u_d = 1, then the antipodes of those not met there, as integer vectors.
+
+    An open cone either meets {u_d > 0}, and then the slice in one cell, or
+    lies in {u_d < 0}, and then its antipode meets the slice: so the cells
+    are the slice cells and their negations, deduplicated by sign masks. The
+    negations come in slice order, each one whose masks, swapped, are new.
+    """
+    # a.u = 0 meets {u_d = 1} in the row a'.u' = -a_d of the slice, a constant where a' = 0. Its
+    # residual at u' is a.u, so a slice cell's masks are the signs of the lines on it.
+    rows = [(a[:-1], -a[-1]) for a in lines]
+    up = [(masks, nums + (den,)) for masks, (nums, den), dim in _faces(rows, d - 1) if dim == d - 1]
+    seen = {masks for masks, _ in up}
+    return [u for _, u in up] + [tuple(-v for v in u) for (pos, neg), u in up if (neg, pos) not in seen]
 
 
 def _sign(v):
@@ -318,17 +320,30 @@ def candidate_points(arr):
     partition has depth >= 1, so the deepest point and the existence of a
     Tverberg point are both decided on the candidates.
     """
+    points, vertices = _integer_candidates(arr)
+    points = [tuple([Fraction(v, den) for v in nums]) for nums, den in points]
+    return sorted(points) if vertices else points
+
+
+def _integer_candidates(arr):
+    """(points, whether they are the vertices): the points of `candidate_points` as (nums, den), unsorted."""
     if linalg.rank([a for a, _ in arr.int_rows]) < arr.dimension:
-        return [tuple(Fraction(v, den) for v in nums) for _, (nums, den), _ in _faces(arr.int_rows, arr.dimension)]
-    return sorted({v for _, v in subset_vertices(arr) if v is not None})
+        return [x for _, x, _ in _faces(arr.int_rows, arr.dimension)], False
+    return list(dict.fromkeys(v for _, v in subset_vertices(arr) if v is not None)), True
 
 
 def subset_vertices(arr):
     """(subset, vertex) for every d-subset of the hyperplanes, in lexicographic order.
 
-    The vertex is the one point the subset's hyperplanes share, or None when
-    their normals are dependent.
+    The vertex is the one point the subset's hyperplanes share, as an
+    integer point (nums, den) in lowest terms with den > 0, standing for
+    nums / den; it is None when their normals are dependent. One `_reduce`
+    of the subset's integer rows gives it: with full rank, row i ends as
+    den x_i = nums_i.
     """
     rows = arr.int_rows
-    for subset in combinations(range(len(rows)), arr.dimension):
-        yield subset, linalg.solve([rows[i][0] for i in subset], [rows[i][1] for i in subset])
+    d = arr.dimension
+    for subset in combinations(range(len(rows)), d):
+        system = [[*rows[i][0], rows[i][1]] for i in subset]
+        pivots, den = linalg._reduce(system, d)
+        yield subset, _lowest([row[d] for row in system], den) if len(pivots) == d else None

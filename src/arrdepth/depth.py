@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .cells import _sign, candidate_points, direction_cells
+from .cells import _integer_candidates, _sign, direction_cells
 from .errors import DimensionError, InvalidDirection, NoDeepPoint
 from .geometry import point, record
 
@@ -439,15 +439,21 @@ def deepest_point(arr):
     from a face to a face of its boundary, so the scan over
     `cells.candidate_points` is exact in any d: the vertices when the normals
     span R^d, one representative per face otherwise. Ties go to the smallest
-    point.
+    point. The scan reads each candidate as an integer point (nums, den) and
+    its masks with `Arrangement._signs`; only the returned point becomes
+    `Fraction`s.
     """
     if len(arr) == 0:
         raise NoDeepPoint("empty arrangement has no deepest point")
-    best_val = None
-    best_pt = None
-    best_cert = None
-    for p in candidate_points(arr):  # a scan, so the plain masks: the record stays with the caller's q
-        val, cert = _depth_at_masks(arr, *_masks_at(arr, p), _RD)
-        if best_val is None or val > best_val or (val == best_val and p < best_pt):
-            best_val, best_pt, best_cert = val, p, cert
-    return best_pt, best_val, best_cert
+    best_val = best_pt = best_cert = None
+    for nums, den in _integer_candidates(arr)[0]:  # a scan, so the plain masks: the record stays with the caller's q
+        val, cert = _depth_at_masks(arr, *arr._signs(nums, den), _RD)
+        if best_val is None or val > best_val or (val == best_val and _lex_less((nums, den), best_pt)):
+            best_val, best_pt, best_cert = val, (nums, den), cert
+    nums, den = best_pt
+    return tuple([Fraction(v, den) for v in nums]), best_val, best_cert
+
+
+def _lex_less(p, q):
+    """Whether the integer point p = (nums, den) is lexicographically less than q; denominators are positive."""
+    return [v * q[1] for v in p[0]] < [v * p[1] for v in q[0]]

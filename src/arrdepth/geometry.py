@@ -396,9 +396,9 @@ def is_general_position(arr: Arrangement) -> GeneralPositionReport:
     """
     d, n = arr.dimension, len(arr)
     if n < d:  # no vertices: (a) alone, on all n normals
-        independent = linalg.rank([h.normal for h in arr]) == n
+        independent = linalg.rank([a for a, _ in arr.int_rows]) == n
         return GeneralPositionReport(independent, True, witness=None if independent else tuple(range(n)))
-    through = {}  # vertex -> the hyperplanes through it
+    through = {}  # integer vertex (nums, den), in lowest terms -> the hyperplanes through it
     for subset, vertex in cells.subset_vertices(arr):
         if vertex is None:
             return GeneralPositionReport(False, True, witness=subset)

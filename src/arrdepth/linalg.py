@@ -9,13 +9,15 @@ read its reduced rows; results become `Fraction`s only on return.
 incident normals) reads every circuit off a kernel basis, one small
 elimination per (c-1)-set of coordinates, in place of the subset scan.
 `integer_vector` is also the one scaling behind canonical hyperplanes and
-rays.
+rays; it reads ints and Fractions alike by numerator and denominator, with
+one lcm and one gcd per vector. `cells.subset_vertices` runs `_reduce` on an
+arrangement's integer rows itself and keeps each vertex as integer
+numerators over one denominator.
 """
 
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 
 
@@ -115,15 +117,19 @@ def _null_vector(rows, pivots, p, free, ncols):
 
 
 def integer_vector(v):
-    """v scaled by a positive rational to coprime integers (zero stays zero)."""
-    if all(type(c) is int for c in v):  # integers already: divide by the gcd alone
-        g = math.gcd(*v)
-        return tuple(c // g for c in v) if g > 1 else tuple(v)
-    v = [Fraction(c) for c in v]
-    scale = reduce(math.lcm, (c.denominator for c in v), 1)
-    ints = [c.numerator * (scale // c.denominator) for c in v]
-    g = reduce(math.gcd, ints, 0)
-    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
+    """v, a sequence of ints and Fractions, scaled by a positive rational to coprime integers (zero stays zero).
+
+    Both types carry ``numerator`` and ``denominator``, so no entry is
+    converted; the entries are scaled to the lcm of the denominators only
+    when one of them is not 1.
+    """
+    scale = math.lcm(*[c.denominator for c in v])
+    if scale == 1:
+        ints = [c.numerator for c in v]
+    else:
+        ints = [c.numerator * (scale // c.denominator) for c in v]
+    g = math.gcd(*ints)
+    return tuple([c // g for c in ints]) if g > 1 else tuple(ints)
 
 
 def signed_circuits(vectors, among=None):

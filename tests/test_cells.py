@@ -11,9 +11,12 @@ hyperplanes.
 integer recursion in `cells._faces` replaced: every lifted face's signs are
 evaluated from its point, and every nudged point is built and evaluated
 again. `enumerate_faces` and `direction_cells` must return exactly its lists,
-representatives and order included. `_fraction_direction_cells_2d` is the
-angular sort of the planar direction cells on `Fraction` rays, which the
-integer sort in `cells._direction_cells_2d` replaced.
+representatives and order included; at d >= 3 `_fraction_direction_cells`
+reads the one slice u_d = 1 and the new antipodes of its cells, and
+`_two_slice_direction_cells`, both slices u_d = +-1, must give the same
+sign masks. `_fraction_direction_cells_2d` is the angular sort of the
+planar direction cells on `Fraction` rays, which the integer sort in
+`cells._direction_cells_2d` replaced.
 """
 
 import math
@@ -130,7 +133,18 @@ def _fraction_faces(hyperplanes, d):
 
 
 def _fraction_direction_cells(normals, d):
-    """Direction cells at d >= 3 from the two slices u_d = +-1 of `_fraction_faces`."""
+    """Direction cells at d >= 3: the cells of the slice u_d = 1 of `_fraction_faces`, then their new antipodes."""
+    lines = _distinct_lines(normals)
+    central = [(a, 0) for a in lines]
+    slice_hs = [(a[:-1], -a[-1]) for a in lines if any(a[:-1])]
+    up = [rep + (Fraction(1),) for _, rep, dim in _fraction_faces(slice_hs, d - 1) if dim == d - 1]
+    seen = {_fraction_signs(central, u) for u in up}
+    down = [w for w in (tuple(-c for c in u) for u in up) if _fraction_signs(central, w) not in seen]
+    return [normalize_ray(u) for u in up + down]
+
+
+def _two_slice_direction_cells(normals, d):
+    """Direction cells at d >= 3 from both slices u_d = +-1 of `_fraction_faces`, deduplicated by signs."""
     lines = _distinct_lines(normals)
     central = [(a, 0) for a in lines]
     reps, seen = [], set()
@@ -321,6 +335,64 @@ def test_deepest_point_degenerate_dimension_four():
         pt, val, cert = deepest_point(arr)
         assert val == max(regression_depth(arr, rep)[0] for _, rep in _lp_faces(arr))
         assert regression_depth(arr, pt) == (val, cert)
+
+
+def _slice_cases():
+    """Normals at d = 3 and 4: generic, parallel and duplicate, the plane u_d = 0, a_d = 0, rank-deficient."""
+    rng = random.Random("cells:slice")
+    for i in range(30):
+        d = 3 + i % 2
+        n = 3 + i % 3
+        kind = i // 2 % 5
+        if kind == 0:
+            normals = [h.normal for h in generate_instance(400 + i, d, n, "generic")]
+        elif kind == 1:
+            normals = [h.normal for h in _degenerate(400 + i, d, n)]
+        elif kind == 2:
+            normals = [h.normal for h in _rank_deficient(400 + i, d, n)]
+        else:  # the plane u_d = 0 (twice, scaled) with planes a_d = 0: on generic normals, or alone (rank < d)
+            e_d = (0,) * (d - 1) + (1,)
+            flat = [a for a in (tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (0,) for _ in range(4)) if any(a)]
+            if kind == 3:
+                flat = [h.normal for h in generate_instance(400 + i, d, 2, "generic")] + flat[:2]
+            normals = flat[: d - 2 if kind == 4 else None] + [e_d, tuple(-2 * c for c in e_d)]
+        yield normals, d
+
+
+def test_one_slice_direction_cells_match_two_slices_and_lp():
+    # the one slice and its antipodes give the cells of both slices and of the LP oracle on the central planes
+    kinds = set()
+    for normals, d in _slice_cases():
+        lines = _distinct_lines(normals)
+        central = Arrangement(d, tuple(hyperplane(a, 0) for a in lines))
+        got = [_sign_key(lines, u) for u in direction_cells(normals, d)]
+        assert len(set(got)) == len(got), normals
+        assert set(got) == {_sign_key(lines, u) for u in _two_slice_direction_cells(normals, d)}, normals
+        assert set(got) == {signs for signs, _ in _lp_faces(central) if 0 not in signs}, normals
+        assert direction_cells(normals, d) == _fraction_direction_cells(normals, d), normals
+        kinds.add((d, "rank < d", linalg.rank(lines) < d))
+        kinds.add((d, "u_d = 0", any(not any(a[:-1]) for a in lines)))
+        kinds.add((d, "a_d = 0", any(a[-1] == 0 and any(a[:-1]) for a in lines)))
+        kinds.add((d, "parallel", len(lines) < len(normals)))
+    assert kinds == {(d, k, b) for d in (3, 4) for k in ("rank < d", "u_d = 0", "a_d = 0", "parallel") for b in (0, 1)}
+
+
+def test_direction_cells_take_one_face_enumeration(monkeypatch):
+    # one slice: a direction-cell build enumerates the faces of one (d-1)-dimensional arrangement
+    from arrdepth import cells
+
+    calls = []
+    inner = cells._faces
+
+    def counted(hyperplanes, d):
+        calls.append(d)
+        return inner(hyperplanes, d)
+
+    monkeypatch.setattr(cells, "_faces", counted)
+    for normals, d in _slice_cases():
+        calls.clear()
+        direction_cells(normals, d)
+        assert calls.count(d - 1) == 1, normals
 
 
 def test_normalize_ray():

@@ -156,7 +156,7 @@ def test_total_weight_exact():
 
 
 def _integer_vector_by_fractions(v):
-    """The lcm/gcd scaling on Fractions, which `linalg.integer_vector` skips for int input."""
+    """The lcm/gcd scaling with every entry made a Fraction first, which `linalg.integer_vector` no longer does."""
     v = [Fraction(c) for c in v]
     scale = reduce(math.lcm, (c.denominator for c in v), 1)
     ints = [c.numerator * (scale // c.denominator) for c in v]
@@ -166,6 +166,16 @@ def _integer_vector_by_fractions(v):
 
 def test_integer_vector_matches_fraction_scaling():
     rng = random.Random("integer_vector")
+    cases = [  # empty and zero vectors, all-negative entries, Fractions over 1 (no scaling) and mixed types
+        (),
+        (0, 0, 0),
+        (0, Fraction(0, 7), 0),
+        (-4, -6, 0),
+        (Fraction(-2, 3), Fraction(-4, 9)),
+        (Fraction(4), Fraction(-6), Fraction(10)),
+        (3, Fraction(1, 2), -2),
+        (2**70, Fraction(2**71, 3), -(2**69)),
+    ]
     for trial in range(3000):
         n = rng.randint(0, 6)
         if trial % 3 == 0:  # ints with a common factor, zeros and big values
@@ -175,5 +185,11 @@ def test_integer_vector_matches_fraction_scaling():
             v = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)]
         else:  # ints mixed with Fractions
             v = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))) for _ in range(n)]
+        cases.append(v)
+    for _ in range(1000):  # zero or negative entries, Fractions over 1 among them
+        cases.append([rng.choice((0, -rng.randint(1, 40), Fraction(-rng.randint(1, 40)))) for _ in range(rng.randint(0, 6))])
+    for v in cases:
         got = linalg.integer_vector(v)
         assert got == _integer_vector_by_fractions(v) and all(type(c) is int for c in got), v
+        assert math.gcd(*got) in (0, 1), v  # coprime, or all zero
+        assert all((c > 0) - (c < 0) == (x > 0) - (x < 0) for c, x in zip(got, v)), v  # a positive scale

@@ -10,10 +10,13 @@ zero rows, dependent rows and inconsistent right-hand sides, wide and tall.
 d-subsets and their vertices. `_two_loop_general_position` is the scan it
 replaced, on the oracle's rank and `solve_consistent`: the reports, witness
 included, must be equal on generic, weighted and degenerate arrangements.
-The instances `generate_instance` draws are pinned by their digests.
+`cells.subset_vertices` reads each d-subset's vertex off one elimination
+as an integer point (nums, den); it must be the oracle's solve in lowest
+terms. The instances `generate_instance` draws are pinned by their digests.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +25,7 @@ import linalg_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrdepth import linalg
+from arrdepth import cells, linalg
 from arrdepth.geometry import (
     Arrangement,
     GeneralPositionReport,
@@ -188,6 +191,23 @@ def test_general_position_matches_two_loop_scan():
     both = {(True, True), (True, False), (False, True)}
     assert outcomes == {(*report, False) for report in both} | {(True, True, True), (False, True, True)}
 
+
+
+def test_integer_subset_vertices_match_fraction_solve():
+    # each d-subset's vertex, as an integer point in lowest terms, is the oracle's Fraction solution
+    kinds = set()
+    for arr in _general_position_cases():
+        for subset, vertex in cells.subset_vertices(arr):
+            expected = oracle.solve([arr[i].normal for i in subset], [arr[i].offset for i in subset])
+            kinds.add(expected is None)
+            if expected is None:
+                assert vertex is None, (arr, subset)
+                continue
+            nums, den = vertex
+            assert type(den) is int and den > 0 and all(type(v) is int for v in nums), vertex
+            assert math.gcd(den, *nums) == 1, vertex
+            assert tuple(Fraction(v, den) for v in nums) == expected, (arr, subset)
+    assert kinds == {True, False}
 
 # sha256 of `dump_json(generate_instance(seed, d, n, profile))`, computed before the one-pass check.
 INSTANCE_DIGESTS = {

@@ -218,6 +218,19 @@ def test_sweep_order_constancy():
         assert order_at(s1) == order_at(s2)
 
 
+
+def test_transversal_on_a_crossing_direction_along_the_y_axis():
+    # Four of the six lines meet at (0, -1), none of them vertical: the y-axis is a critical direction only as
+    # the direction of that crossing, and it is the one line through the origin that is half-deep for both
+    # arrangements; a scan without it finds no solution.
+    a1 = arrangement(2, [((3, 1), 3), ((2, -1), 4), ((1, 2), -2)])
+    a2 = arrangement(2, [((2, 1), -1), ((1, 3), -3), ((1, -1), 1)])
+    sol = solve_planar_transversal(a1, a2)
+    assert sol.direction == (0, 1) and sol.q == (0, -1)
+    assert sol == oracle_transversal(a1, a2)
+    for arr in (a1, a2):
+        assert restricted_depth(arr, sol.q, [sol.direction]) >= arr.total_weight / 2
+
 def _degenerate_lines(rng, n):
     """n lines off the origin: concurrent lines, duplicates written scaled, parallels, zero and rational weights."""
     center = (rng.randint(-3, 3), rng.randint(-3, 3))
