@@ -20,12 +20,14 @@ per-hyperplane Fraction loop, `_count_signs`, as the independent path the
 tests compare against.
 
 RD, RD' and TRD read q's masks from the arrangement's record of q
-(`Arrangement._query`), and RD keeps its value and certificate there, so at
-one q the masks and RD are computed once; TRD is min(w(A)/(d+1), RD) on
-that RD. RD' at a q on no hyperplane is RD too, with the same witness: no
-residual is 0, so the two rules count the same hyperplanes in every cell.
-At a q on hyperplanes whose normals may hold a circuit, RD' takes one pass
-over the cells, grouped by their signs on the incident set, and reads every
+(`Arrangement._query`), and RD keeps its value and certificate there, with
+the closed hit sets of the direction cells it counts (`_cell_masks`), so at
+one q the masks, the cell pass and RD are computed once; TRD is
+min(w(A)/(d+1), RD) on that RD. RD' at a q on no hyperplane is RD too,
+with the same witness: no residual is 0, so the two rules count the same
+hyperplanes in every cell. At a q on hyperplanes whose normals may hold a
+circuit, RD' groups the closed cell counts (on RD's hit sets when the
+record holds them) by the cells' signs on the incident set, and reads every
 perturbed pattern from the groups (`_open_depth`). Scans over many points
 (`deepest_point`, the planar labels) use the plain masks and leave the
 record alone.
@@ -126,30 +128,39 @@ def _unit_direction(d):
     return tuple(e)
 
 
-def _tope_counts(arr, pos, neg, rule):
-    """Weighted ray count in each direction cell, as integers over `arr.weight_tables`' denominator.
+def _cell_masks(arr, pos, neg, rule):
+    """The hyperplanes that each direction cell's ray count counts, as bitmasks: the one mask builder.
 
     ``pos`` and ``neg`` are the bitmasks of positive and negative residuals.
     Against a cell with sign masks (tp, tn), the closed rule counts the
-    hyperplanes whose two signs are not both + or both -, and the open rule
-    those whose signs are opposite or whose cell sign is 0.
+    hyperplanes whose two signs are not both + or both -: the closed hit
+    set H_c = full & ~((pos & tp) | (neg & tn)) of the cell, the
+    hyperplanes a ray from q in it meets. The open rule counts those whose
+    signs are opposite or whose cell sign is 0.
     """
     full = (1 << len(arr)) - 1
     if rule == "closed":
-        masks = [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
-    else:
-        masks = [(pos & tn) | (neg & tp) | (full & ~tp & ~tn) for tp, tn in arr.direction_cells[1]]
-    return _weights(arr, masks)
+        return [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
+    return [(pos & tn) | (neg & tp) | (full & ~tp & ~tn) for tp, tn in arr.direction_cells[1]]
 
 
-def _min_count(arr, pos, neg, rule):
+def _tope_counts(arr, pos, neg, rule, masks=None):
+    """Weighted ray count in each direction cell, as integers over `arr.weight_tables`' denominator.
+
+    ``masks`` are the rule's `_cell_masks` at (pos, neg) when the caller has
+    them already.
+    """
+    return _weights(arr, _cell_masks(arr, pos, neg, rule) if masks is None else masks)
+
+
+def _min_count(arr, pos, neg, rule, masks=None):
     """Minimize the ray count over all directions, given the residual sign masks of q.
 
     The count is constant on each direction cell, so the minimum is taken over
     the cached cell sign masks (`_tope_counts`); the witness is the first
     minimizing cell in cell order.
     """
-    counts = _tope_counts(arr, pos, neg, rule)
+    counts = _tope_counts(arr, pos, neg, rule, masks)
     if not counts:
         return Fraction(0), _unit_direction(arr.dimension)
     best = min(counts)
@@ -192,7 +203,9 @@ def regression_depth(arr, q):
         return _depth_at_masks(arr, 0, 0, _RD)
     slot = arr._query(q)
     if slot.rd is None:
-        slot.rd = _depth_at_masks(arr, slot.pos, slot.neg, _RD)
+        slot.hits = _cell_masks(arr, slot.pos, slot.neg, "closed")  # RD' and HED read them too
+        best, u = _min_count(arr, slot.pos, slot.neg, "closed", slot.hits)
+        slot.rd = best, DepthCertificate(u, best, "closed")
     return slot.rd
 
 
@@ -205,13 +218,25 @@ def _new_perturbed_cells(circuits, zero, seen=()):
     conforms) and whose perturbed cell is not (no conforming circuit is
     positive at its lowest index). The patterns in ``seen``, those of some
     direction cell, have an open cone, so they are skipped untested.
+    ``circuits`` holds both orientations of each support, so a pattern is
+    tested against each support once, in the orientation that is positive
+    at its lowest index: the pattern conforms to it, or to its negation, or
+    to neither.
     """
+    lowplus = [(supp, plus) for supp, plus in circuits if plus & supp & -supp]
     bits = 0
     while True:
-        # each conforming circuit's sign at its lowest index (0 for -)
-        lows = () if bits in seen else [plus & supp & -supp for supp, plus in circuits if plus == supp & bits]
-        if lows and not any(lows):
-            yield bits
+        if bits not in seen:
+            conforms = False
+            for supp, plus in lowplus:
+                side = bits & supp
+                if side == plus:
+                    break  # a conforming circuit is positive at its lowest index
+                if side == supp ^ plus:
+                    conforms = True
+            else:
+                if conforms:
+                    yield bits
         if bits == zero:
             return
         bits = (bits - zero) & zero  # the next submask of zero
@@ -238,7 +263,8 @@ def open_regression_depth(arr, q):
     s * (a.u) <= 0 holds exactly when s * (a.u) < 0 or a.u = 0: the open and
     closed counts agree in every direction, and RD' is RD with the same first
     minimizing cell. It is then read from q's record (`regression_depth`,
-    which fills it if RD has not run yet). Otherwise `_open_depth` runs.
+    which fills it if RD has not run yet). Otherwise `_open_depth` runs, on
+    RD's closed hit sets when the record holds them.
     """
     if not arr.hyperplanes:
         return _depth_at_masks(arr, 0, 0, _RD_OPEN)
@@ -246,10 +272,10 @@ def open_regression_depth(arr, q):
     if not slot.zero:
         rd, cert = regression_depth(arr, q)
         return rd, DepthCertificate(cert.direction, rd, "open")
-    return _open_depth(arr, slot.pos, slot.neg)
+    return _open_depth(arr, slot.pos, slot.neg, slot.hits)
 
 
-def _open_groups(arr, pos, neg, zero):
+def _open_groups(arr, pos, neg, zero, hits=None):
     """The open ray count off the incident set ``zero``, minimised over the direction cells of each pattern.
 
     Returns {pattern: (count, index)}: a pattern is the cell's positive
@@ -260,14 +286,21 @@ def _open_groups(arr, pos, neg, zero):
     to the count of (pos, neg), and they add w(zero & (plus ^ tp)) under the
     perturbed signs whose positive ones are ``plus``. The keys are the
     patterns whose open cone is not empty.
+
+    The closed rule counts every incident hyperplane in every cell and
+    agrees with the open rule off them, so a cell's open count is its
+    closed count less w(zero). The groups are therefore read off the closed
+    counts, on the closed hit sets ``hits`` when the caller has them (RD's,
+    from q's record).
     """
     groups = {}
-    for j, (count, (tp, _)) in enumerate(zip(_tope_counts(arr, pos, neg, "open"), arr.direction_cells[1])):
+    for j, (count, (tp, _)) in enumerate(zip(_tope_counts(arr, pos, neg, "closed", hits), arr.direction_cells[1])):
         key = tp & zero
         hit = groups.get(key)
         if hit is None or count < hit[0]:
             groups[key] = (count, j)
-    return groups
+    shift = _weights(arr, [zero])[0]
+    return {key: (count - shift, j) for key, (count, j) in groups.items()}
 
 
 def _weights(arr, masks):
@@ -281,7 +314,7 @@ def _weights(arr, masks):
     return out
 
 
-def _open_depth(arr, pos, neg):
+def _open_depth(arr, pos, neg, hits=None):
     """`open_regression_depth` of a nonempty arrangement, from the residual sign masks.
 
     One incident normal has no circuit, and two have one only when they are
@@ -291,14 +324,22 @@ def _open_depth(arr, pos, neg):
 
     With three or more incident normals, or two equal ones, one pass over the
     direction cells groups them by their pattern on the incident set
-    (`_open_groups`). A pattern's open cone is empty exactly when no cell has
+    (`_open_groups`, on the closed hit sets ``hits`` when RD has kept them
+    in q's record). A pattern's open cone is empty exactly when no cell has
     it, so by Gordan's alternative the incident normals have no circuit when
-    all 2^m patterns occur: q is locally generic and `linalg.signed_circuits`
-    is not called. Otherwise each new perturbed pattern (`_new_perturbed_cells`,
-    which tests only the patterns no cell has) is evaluated over the
-    groups, the least of group minimum plus the weight the pattern's signs
-    add (`_weights`, one pass for all groups), ties to the first cell; the
-    first strictly deepest pattern gives the certificate.
+    all 2^m patterns occur: q is locally generic and no circuit is read.
+    Otherwise the incident normals' circuits (`Arrangement._circuits_among`)
+    give the new perturbed patterns (`_new_perturbed_cells`, which tests
+    only the patterns no cell has). A pattern is worth the least, over the
+    groups, of the group's count plus the weight of the incident hyperplanes
+    on which the pattern and the group's key differ, ties to the first cell.
+    The groups are read in order of (count, first cell), and the weight
+    added is never negative, so a pattern's reading stops at the first group
+    whose (count, first cell) is not below its running (least, cell), and as
+    soon as that least is no more than the deepest pattern's so far. Both
+    exits skip only groups that cannot lower the pair and patterns that
+    cannot be strictly deeper, so the first strictly deepest pattern and its
+    first cell give the certificate.
     """
     zero = ((1 << len(arr)) - 1) & ~(pos | neg)
     rows = arr.int_rows
@@ -307,18 +348,29 @@ def _open_depth(arr, pos, neg):
         best, u = _min_count(arr, pos, neg, "open")
         return best, DepthCertificate(u, best, "open")
 
-    den = arr.weight_tables[0]
+    den, tables = arr.weight_tables
     reps = arr.direction_cells[0]
-    groups = _open_groups(arr, pos, neg, zero)
+    groups = _open_groups(arr, pos, neg, zero, hits)
     if len(groups) < 1 << m:
+        order = sorted((count, j, key) for key, (count, j) in groups.items())
         deepest = None
-        keys, counts, firsts = list(groups), [c for c, _ in groups.values()], [j for _, j in groups.values()]
-        for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in rows], zero), zero, groups):
-            totals = [c + w for c, w in zip(counts, _weights(arr, [zero & (plus ^ key) for key in keys]))]
-            count = min(totals)
-            j = min(j for total, j in zip(totals, firsts) if total == count)
-            if deepest is None or count > deepest[0]:
-                deepest = count, j
+        for plus in _new_perturbed_cells(arr._circuits_among(zero), zero, groups):
+            floor = -1 if deepest is None else deepest[0]  # a pattern must beat it
+            least = None  # the pattern's (count, first cell) so far
+            for count, j, key in order:
+                if least is not None and (count, j) > least:
+                    break
+                flip = plus ^ key  # both lie in zero
+                if tables is None:
+                    count += flip.bit_count()
+                else:
+                    count += sum([t[flip >> 8 * c & 255] for c, t in enumerate(tables)])
+                if least is None or (count, j) < least:
+                    least = count, j
+                    if count <= floor:
+                        break
+            if least[0] > floor:
+                deepest = least
         if deepest is not None:
             best = Fraction(deepest[0], den)
             return best, DepthCertificate(reps[deepest[1]], best, "open-perturbed")

@@ -66,6 +66,38 @@ complete every partial transversal through the groups chosen so far to a
 valid set, and cuts a partial choice as soon as too few such indices remain
 to fill the groups left (`_search_max_k`). Those indices are read from the
 pieces on demand, so neither the valid sets nor their subsets are listed.
+
+Without ``strict``, once RD has run at q, the levels k >= 2 are first
+tested on its direction cells. For a cell c with sign masks (tp, tn), the
+closed hit set H_c = full & ~((pos & tp) | (neg & tn)) holds the
+hyperplanes that a ray from q in c meets (those through q at its start);
+RD counts them and keeps them in q's record. A HED with no RD before it
+builds no cells for the test: cold, they would cost more than the search
+saves where no level is refuted.
+
+Lemma. Groups G_1, ..., G_{d+1} k-enclose q iff every H_c contains one of
+them.
+
+Proof. A transversal T is valid iff q lies in the hull of its dual points,
+iff RD(T, q) >= 1 with every weight 1. The closed count of T never rises
+when a direction moves off a hyperplane into an adjacent cell, and the
+cells of the whole arrangement refine those of T, so its least value is
+taken inside some cell c, where it is |T & H_c|: T is valid iff it meets
+every H_c. If every H_c holds a group, every transversal meets every H_c.
+If some H_c holds no group, one index from each group outside H_c gives a
+transversal that misses it.
+
+Propagation (`_refuted`). Call a group forced when every k-enclosure at q
+has it as one of its groups, and let `used` be the union of some forced
+groups. Take a hit set H that contains none of them. By the lemma, each
+k-enclosure has a group inside H; it is none of the forced groups, so it is
+disjoint from them, and lies in H - used. So if H - used has fewer than k
+indices, level k has no k-enclosure; if it has exactly k, H - used is that
+group, and it is forced too. The forced groups of one k-enclosure are
+disjoint groups of it, so more than d + 1 of them refute the level as well.
+The rule only drops levels without a k-enclosure, and the search then
+starts at the highest level it leaves, so the first certificate found is
+the one the search alone finds.
 """
 
 from fractions import Fraction
@@ -256,6 +288,42 @@ def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
     return 0, None
 
 
+def _refuted(hits, d, k):
+    """Whether the closed hit sets ``hits`` prove that level k has no k-enclosure, by the propagation rule.
+
+    Groups are forced, and the level refuted, as the module docstring
+    proves, until no hit set forces another group. A hit set holding a
+    forced group is done with; one with more than k indices outside `used`
+    waits for `used` to grow. Every order of ``hits`` is sound; smallest
+    first finds the forced groups soonest.
+    """
+    forced = []
+    used = 0
+    waiting = hits
+    while waiting:
+        grown = False
+        later = []
+        for hit in waiting:
+            rest = hit & ~used
+            size = rest.bit_count()
+            if size > k:
+                later.append(hit)
+                continue
+            for g in forced:
+                if g & hit == g:
+                    break
+            else:
+                if size < k or len(forced) > d:
+                    return True
+                forced.append(rest)
+                used |= rest
+                grown = True
+        if not grown:
+            break
+        waiting = later
+    return False
+
+
 def _planar_max_k(arr, q, k_cap):
     """Largest k <= k_cap with a k-enclosure of q at d = 2, and its groups, by rules (0), (B) and (A).
 
@@ -344,7 +412,9 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     docstring (`_planar_max_k`), with no circuit, piece or search; the
     groups are then sorted and ordered by their first index. Otherwise
     (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels over
-    the pieces kept in the record. The path depends only on d and
+    the pieces kept in the record; without ``strict``, when RD has kept
+    its closed hit sets there, it starts at the highest level k >= 2 that
+    they do not refute (`_refuted`), or at 1. The path depends only on d and
     ``strict``. Exact for n <= exact_threshold and d <= 3; larger instances
     raise ExactBudgetExceeded carrying the lower bound 1 when some
     (d+1)-set is valid, else 0: without ``strict`` that is when HTvD >= 1,
@@ -372,6 +442,10 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
         pieces = coverable_pieces(arr, q)
         if strict:
             pieces = [p for p in pieces if p.bit_count() == d + 1]
+        elif k_cap >= 2 and (hits := arr._query(q).hits) is not None:  # RD's, when it has run at q
+            hits = sorted(set(hits), key=int.bit_count)
+            while k_cap >= 2 and _refuted(hits, d, k_cap):
+                k_cap -= 1
         k, groups = _search_max_k(n, d, pieces, k_cap)
     if k == 0:
         return 0, None

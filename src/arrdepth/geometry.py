@@ -178,16 +178,17 @@ class _Query:
     """One query's state at an arrangement: the point q, its residual sign masks, and what the measures fill in.
 
     pos, neg and zero have bit i set when a_i . q - b_i is > 0, < 0 and = 0.
+    hits (the closed hit set of each direction cell, `depth._cell_masks`),
     rd (RD with its certificate), pieces (`tverberg.coverable_pieces`),
     packing (the size of their maximum packing) and order (in the plane,
     `tverberg._order` at q) are None until a measure sets them.
     """
 
-    __slots__ = ("q", "pos", "neg", "zero", "rd", "pieces", "packing", "order")
+    __slots__ = ("q", "pos", "neg", "zero", "hits", "rd", "pieces", "packing", "order")
 
     def __init__(self, q, pos, neg, zero):
         self.q, self.pos, self.neg, self.zero = q, pos, neg, zero
-        self.rd = self.pieces = self.packing = self.order = None
+        self.hits = self.rd = self.pieces = self.packing = self.order = None
 
 
 @record
@@ -226,6 +227,18 @@ class Arrangement:
         `linalg.signed_circuits`.
         """
         return linalg.signed_circuits([a for a, _ in self.int_rows])
+
+    def _circuits_among(self, among) -> list[tuple[int, int]]:
+        """The signed circuits of the normals whose support lies in the bitmask ``among``, in `circuits` order.
+
+        Filtered from `circuits` once the arrangement has built them (HTvD
+        and HED at d != 2 do); otherwise read off the kernel of the selected
+        normals alone (`linalg.signed_circuits`), with no full build.
+        """
+        table = self.__dict__.get("circuits")
+        if table is None:
+            return linalg.signed_circuits([a for a, _ in self.int_rows], among)
+        return [(supp, plus) for supp, plus in table if supp & among == supp]
 
     @cached_property
     def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:

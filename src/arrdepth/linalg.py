@@ -1,13 +1,15 @@
 """Exact linear algebra on small dense matrices, by one integer elimination.
 
 Entries are ints or `fractions.Fraction`s. Each row is scaled to coprime
-ints by `integer_vector`, and `_reduce` runs the one elimination of the
-package on them: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968).
+ints by `integer_vector` (`signed_circuits` keeps int rows as they are),
+and `_reduce` runs the one elimination of the package on them:
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968).
 `rank`, `_solve` (with `solve`), `kernel_vector` and `signed_circuits` all
 read its reduced rows; results become `Fraction`s only on return.
-`signed_circuits` of a small kernel (dimension at most d, as at a query's
-incident normals) reads every circuit off a kernel basis, one small
-elimination per (c-1)-set of coordinates, in place of the subset scan.
+`signed_circuits` of a set whose kernel has dimension c at most max(d, 3),
+as a query's incident normals mostly have, reads every circuit off a kernel
+basis, one small null vector per (c-1)-set of coordinates, in place of the
+subset scan.
 `integer_vector` is also the one scaling behind canonical hyperplanes and
 rays; it reads ints and Fractions alike by numerator and denominator, with
 one lcm and one gcd per vector. `cells.subset_vertices` runs `_reduce` on an
@@ -116,6 +118,24 @@ def _null_vector(rows, pivots, p, free, ncols):
     return x
 
 
+def _null_of(rows, c):
+    """A nonzero solution of the (c-1) x c system ``rows``, or None when its rank is below c - 1."""
+    if c == 1:
+        return (1,)
+    if c == 2:
+        [(a, b)] = rows
+        return (b, -a) if a or b else None
+    if c == 3:
+        (a, b, e), (f, g, h) = rows
+        lam = (b * h - e * g, e * f - a * h, a * g - b * f)
+        return lam if any(lam) else None
+    sub = list(rows)
+    piv, lp = _reduce(sub, c)
+    if len(piv) < c - 1:
+        return None
+    return _null_vector(sub, piv, lp, next(j for j in range(c) if j not in piv), c)
+
+
 def integer_vector(v):
     """v, a sequence of ints and Fractions, scaled by a positive rational to coprime integers (zero stays zero).
 
@@ -143,34 +163,53 @@ def signed_circuits(vectors, among=None):
     a bitmask ``among``, only the circuits with support in it are found.
 
     The m selected vectors are eliminated once. When their kernel has
-    dimension c = m - rank <= d, the circuits are read off it: a circuit is
-    the support of a kernel vector that vanishes on c - 1 coordinates and is
-    unique there up to scale, since a smaller support would vanish there
-    too. Otherwise, as for a full build, the subsets are scanned by size.
+    dimension c = m - rank at most max(d, 3), the circuits are read off it:
+    a circuit is the support of a kernel vector that vanishes on c - 1
+    coordinates and is unique there up to scale, since a smaller support
+    would vanish there too. So each (c-1)-set of coordinates on which the
+    kernel basis has rank c - 1 gives one, as the null vector of that
+    (c-1) x c system: 1 for c = 1, a swap for c = 2, a cross product for
+    c = 3 and one small elimination beyond. Otherwise the subsets are
+    scanned by size: there are as many (rank+1)-subsets as (c-1)-sets, and
+    past c = max(d, 3) their eliminations are the smaller ones.
     """
-    cols = {i: integer_vector(v) for i, v in enumerate(vectors) if among is None or among >> i & 1}
+    cols = {i: v for i, v in enumerate(vectors) if among is None or among >> i & 1}
+    if not all(type(x) is int for v in cols.values() for x in v):  # a positive scale moves no circuit
+        cols = {i: integer_vector(v) for i, v in cols.items()}
     d = len(vectors[0]) if vectors else 0
     idx = list(cols)
     m = len(idx)
     rows = [list(r) for r in zip(*cols.values())]
-    pivots, p = _reduce(rows, m) if m <= 2 * d else ((), 0)  # else c >= m - d > d
+    most = max(d, 3)  # the kernel side reads c <= most
+    pivots, p = _reduce(rows, m) if m <= d + most else ((), 0)  # else c >= m - d > most
     free = [f for f in range(m) if f not in pivots]
-    if len(free) <= d:
-        if not free:
+    c = len(free)
+    if c <= most:
+        if not c:
             return []
         kcols = list(zip(*[_null_vector(rows, pivots, p, f, m) for f in free]))  # a kernel basis, by coordinate
+        bits = [1 << i for i in idx]
         found = {}
-        for zeros in combinations(kcols, len(free) - 1):
-            sub = list(zeros)
-            lpiv, lp = _reduce(sub, len(free))
-            if len(lpiv) < len(sub):
+        for zeros in combinations(range(m), c - 1):
+            vanish = 0
+            for z in zeros:
+                vanish |= bits[z]
+            if any(not vanish & supp for supp in found):
+                continue  # a circuit found already vanishes there, so it is the one found there
+            lam = _null_of([kcols[z] for z in zeros], c)
+            if lam is None:
                 continue  # more than one kernel direction vanishes there
-            lam = _null_vector(sub, lpiv, lp, next(j for j in range(len(free)) if j not in lpiv), len(free))
             supp = plus = 0
-            for i, kc in zip(idx, kcols):
-                v = sum(map(operator.mul, lam, kc))
-                supp |= bool(v) << i
-                plus |= (v > 0) << i
+            if c == 2:
+                a, b = lam
+                vs = [a * x + b * y for x, y in kcols]
+            else:
+                vs = [sum(map(operator.mul, lam, kc)) for kc in kcols]
+            for bit, v in zip(bits, vs):
+                if v:
+                    supp |= bit
+                    if v > 0:
+                        plus |= bit
             found[supp] = plus if plus >> (supp.bit_length() - 1) else supp ^ plus  # + at the highest index
         out = []
         for mask in sorted(found, key=lambda s: (s.bit_count(), [i for i in idx if s >> i & 1])):

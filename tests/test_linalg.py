@@ -98,8 +98,10 @@ def test_signed_circuits_from_the_kernel_and_the_scan_match_oracle():
     """Both sides of `signed_circuits` give the oracle's list, in its order, on masked families at d = 1-4.
 
     A family holds zero, parallel, duplicate and combined vectors; its
-    selected vectors have a kernel of dimension c <= d (read off the kernel)
-    or c > d (the subset scan), and both sides are met often.
+    selected vectors have a kernel of dimension c <= max(d, 3) (read off
+    the kernel) or c > max(d, 3) (the subset scan), and both sides are met
+    often. Pencils of incident normals then give selected sets with c > d
+    at d = 2 and 3, on both sides.
     """
     rng = random.Random("linalg:circuit-sides")
     sides = {False: 0, True: 0}
@@ -128,7 +130,34 @@ def test_signed_circuits_from_the_kernel_and_the_scan_match_oracle():
         assert linalg.signed_circuits(vecs, mask) == expected, (vecs, among)
         assert linalg.signed_circuits(vecs) == oracle.signed_circuits(vecs), vecs
         if chosen:
-            sides[len(chosen) - oracle.rank([list(r) for r in zip(*chosen)]) <= d] += 1
+            sides[len(chosen) - oracle.rank([list(r) for r in zip(*chosen)]) <= max(d, 3)] += 1
+
+    # Incident sets whose kernel dimension c exceeds d: pencils of 5-8 lines
+    # through a point at d = 2, and 6-7 planes through a point at d = 3, with
+    # duplicates, among vectors off the point. Up to c = 3 they are read off
+    # the kernel, beyond it scanned.
+    wide = 0
+    for trial in range(400):
+        d, m = (2, rng.randint(5, 8)) if trial % 2 else (3, rng.randint(6, 7))
+        pencil = []
+        while len(pencil) < m:
+            if pencil and rng.random() < 0.25:
+                pencil.append(tuple(rng.choice((1, -2, 3)) * c for c in rng.choice(pencil)))
+            else:
+                pencil.append(tuple(rng.randint(-3, 3) for _ in range(d)))
+        others = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+        vecs = pencil + others
+        order = rng.sample(range(len(vecs)), len(vecs))
+        vecs = [vecs[i] for i in order]
+        among = sorted(order.index(i) for i in range(m))
+        mask = sum(1 << i for i in among)
+        chosen = [vecs[i] for i in among]
+        expected = [(spread(supp), spread(plus)) for supp, plus in oracle.signed_circuits(chosen)]
+        assert linalg.signed_circuits(vecs, mask) == expected, (vecs, among)
+        c = m - oracle.rank([list(r) for r in zip(*chosen)])
+        sides[c <= max(d, 3)] += 1
+        wide += c > d
+    assert wide >= 250, wide
     assert min(sides.values()) >= 300, sides
 
 

@@ -72,6 +72,90 @@ def test_open_depth_matches_per_pattern_route():
     assert rules["open"] >= 200 and rules["open-perturbed"] >= 100, rules
 
 
+def _pencil(rng, d, m, weights):
+    """m hyperplanes through one center, some of them duplicates written scaled, among others off it.
+
+    The others are free hyperplanes and parallels to the incident ones.
+    Weights are all 1, in {0, 1, 2}, or rational with zeros.
+    """
+    center = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+    rows = []
+    while len(rows) < m:
+        if rows and rng.random() < 0.25:
+            a = tuple(rng.choice((1, 2, -3)) * c for c in rng.choice(rows)[0])
+        else:
+            a = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(a):
+                continue
+        rows.append((a, linalg.dot(a, center)))
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.3:
+            a, b = rng.choice(rows[:m])
+            b += rng.choice((1, -2))
+        else:
+            a = tuple(rng.randint(-4, 4) or 1 for _ in range(d))
+            b = Fraction(rng.randint(-6, 6))
+            if linalg.dot(a, center) == b:
+                b += 1
+        rows.append((a, b))
+    if weights == "unit":
+        ws = [1] * len(rows)
+    elif weights == "zero":
+        ws = [rng.choice((0, 1, 2)) for _ in rows]
+    else:
+        ws = [Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in rows]
+    order = rng.sample(range(len(rows)), len(rows))  # the incident hyperplanes at any indices
+    arr = Arrangement(d, tuple(hyperplane(*rows[i], ws[i]) for i in order))
+    return arr, center
+
+
+def _tied_patterns(arr, pos, neg, zero):
+    """How many new perturbed patterns take their least count in two or more groups (different first cells)."""
+    groups = _open_groups(arr, pos, neg, zero)
+    if len(groups) == 1 << zero.bit_count():
+        return 0
+    tied = 0
+    for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in arr.int_rows], zero), zero, groups):
+        totals = [count + depth._weights(arr, [plus ^ key])[0] for key, (count, _) in groups.items()]
+        tied += totals.count(min(totals)) > 1
+    return tied
+
+
+def test_open_depth_at_pencils_matches_per_pattern_route():
+    """RD' at the center of 3-7 incident hyperplanes, d = 2 and 3: the per-pattern value, rule and witness.
+
+    The pencils hold duplicates and zero weights, and many new patterns take
+    their least count in groups whose counts tie, with different first cells.
+    RD' runs cold, after RD, and on an arrangement whose full circuit table
+    is built, from which the incident circuits are then filtered.
+    """
+    rng = random.Random("request-reuse:pencils")
+    rules = {"open": 0, "open-perturbed": 0}
+    tied = groups_tied = 0
+    for d in (2, 3):
+        for m in range(3, 8):
+            for trial in range(12):
+                arr, center = _pencil(rng, d, m, ("unit", "zero", "rational")[trial % 3])
+                pos, neg, zero = _masks(arr, center)
+                assert zero.bit_count() == m
+                expected = per_pattern_open_depth(_fresh(arr), pos, neg)
+                assert _open_depth(_fresh(arr), pos, neg) == expected, (arr, center)
+                assert open_regression_depth(_fresh(arr), center) == expected, (arr, center)
+                warm = _fresh(arr)
+                regression_depth(warm, center)
+                assert open_regression_depth(warm, center) == expected, (arr, center)
+                tabled = _fresh(arr)
+                _ = tabled.circuits  # the full table: the incident circuits are then filtered from it
+                assert tabled._circuits_among(zero) == linalg.signed_circuits([a for a, _ in arr.int_rows], zero)
+                assert open_regression_depth(tabled, center) == expected, (arr, center)
+                rules[expected[1].rule] += 1
+                tied += _tied_patterns(arr, pos, neg, zero)
+                counts = [count for count, _ in _open_groups(arr, pos, neg, zero).values()]
+                groups_tied += len(set(counts)) < len(counts)
+    assert rules["open-perturbed"] >= 80 and rules["open"] >= 5, rules
+    assert tied >= 100 and groups_tied >= 80, (tied, groups_tied)
+
+
 coord = st.integers(-3, 3)
 
 
