@@ -12,22 +12,26 @@ an adjacent cell never increases either count.
 
 RD and RD' work on sign vectors as bitmasks. `Arrangement.sign_masks` gives
 the residual signs of q from integer rows, and `Arrangement.direction_cells`
-the cached sign masks of every direction cell. The count in a cell is then a
-popcount of a mask formula, or a sum of 8-bit table lookups when the weights
-are not all 1 (`Arrangement.weight_tables`, integers over one common
-denominator). `directional_count`, `count_both` and `oracle_depth` keep the
-per-hyperplane Fraction loop, `_count_signs`, as the independent path the
-tests compare against.
+the cached sign masks of every direction cell. Every cell's count is one
+lane of one integer (`Arrangement.ray_lanes`; Lamport, CACM 18 (1975), and
+Knuth, TAOCP 4A, 7.1.3, on broadword computing): P_i (N_i) holds the
+integer weight w_i in the lanes of the cells where a_i . u > 0 (< 0), so
+the open counts at residual masks (pos, neg) are the sum of N_i over pos
+and P_i over neg, and the closed counts are W ones less the sum of P_i over
+pos and N_i over neg (`_packed_counts`, four hyperplanes per table lookup).
+The minimum and its first cell are read off the integer's bytes
+(`_tope_counts`), and "every lane exceeds t" is one subtraction on the
+lanes' guard bits (`_above`). `directional_count`, `count_both` and
+`oracle_depth` keep the per-hyperplane Fraction loop, `_count_signs`, as
+the independent path the tests compare against.
 
 RD, RD' and TRD read q's masks from the arrangement's record of q
-(`Arrangement._query`), and RD keeps its value and certificate there, with
-the closed hit sets of the direction cells it counts (`_cell_masks`), so at
-one q the masks, the cell pass and RD are computed once; TRD is
-min(w(A)/(d+1), RD) on that RD. RD' at a q on no hyperplane is RD too,
-with the same witness: no residual is 0, so the two rules count the same
-hyperplanes in every cell. At a q on hyperplanes whose normals may hold a
-circuit, RD' groups the closed cell counts (on RD's hit sets when the
-record holds them) by the cells' signs on the incident set, and reads every
+(`Arrangement._query`), and RD keeps its value and certificate there, so at
+one q the masks and RD are computed once; TRD is min(w(A)/(d+1), RD) on that
+RD. RD' at a q on no hyperplane is RD too, with the same witness: no
+residual is 0, so the two rules count the same hyperplanes in every cell. At
+a q on hyperplanes whose normals may hold a circuit, RD' groups the open
+cell counts by the cells' signs on the incident set, and reads every
 perturbed pattern from the groups (`_open_depth`). Scans over many points
 (`deepest_point`, the planar labels) use the plain masks and leave the
 record alone.
@@ -128,43 +132,76 @@ def _unit_direction(d):
     return tuple(e)
 
 
-def _cell_masks(arr, pos, neg, rule):
-    """The hyperplanes that each direction cell's ray count counts, as bitmasks: the one mask builder.
+def _cell_masks(arr, pos, neg):
+    """The closed hit set of each direction cell, as bitmasks: the hyperplanes its closed ray count counts.
 
     ``pos`` and ``neg`` are the bitmasks of positive and negative residuals.
     Against a cell with sign masks (tp, tn), the closed rule counts the
     hyperplanes whose two signs are not both + or both -: the closed hit
     set H_c = full & ~((pos & tp) | (neg & tn)) of the cell, the
-    hyperplanes a ray from q in it meets. The open rule counts those whose
-    signs are opposite or whose cell sign is 0.
+    hyperplanes a ray from q in it meets, which the enclosing depth reads.
     """
     full = (1 << len(arr)) - 1
-    if rule == "closed":
-        return [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
-    return [(pos & tn) | (neg & tp) | (full & ~tp & ~tn) for tp, tn in arr.direction_cells[1]]
+    return [full & ~((pos & tp) | (neg & tn)) for tp, tn in arr.direction_cells[1]]
 
 
-def _tope_counts(arr, pos, neg, rule, masks=None):
-    """Weighted ray count in each direction cell, as integers over `arr.weight_tables`' denominator.
+def _packed_counts(arr, pos, neg, rule):
+    """The rule's ray count in every direction cell at residual masks (pos, neg), lane j for cell j (`Arrangement.ray_lanes`).
 
-    ``masks`` are the rule's `_cell_masks` at (pos, neg) when the caller has
-    them already.
+    A cell sign is never 0, so the open rule counts a hyperplane iff its
+    residual and cell signs are opposite, and the closed rule counts the
+    others too when the residual is 0: closed(pos, neg) = full - open(neg, pos).
     """
-    return _weights(arr, _cell_masks(arr, pos, neg, rule) if masks is None else masks)
+    *_, full, tables = arr.ray_lanes
+    a, b = (pos, neg) if rule == "closed" else (neg, pos)
+    v = 0
+    for plus, minus in tables:
+        v += plus[a & 15] + minus[b & 15]
+        a >>= 4
+        b >>= 4
+    return full - v if rule == "closed" else v
 
 
-def _min_count(arr, pos, neg, rule, masks=None):
+def _above(arr, v, t):
+    """Whether every lane of the packed counts ``v`` exceeds the integer t >= -1.
+
+    Each lane's top bit is clear, so setting it and subtracting t + 1 from
+    every lane borrows across no lane, and leaves the top bit set exactly
+    where the lane exceeds t.
+    """
+    size, _, total, ones, _, _ = arr.ray_lanes
+    if t >= total:
+        return False
+    guard = ones << 8 * size - 1
+    return ((v | guard) - (t + 1) * ones) & guard == guard
+
+
+def _lanes(arr, v):
+    """The lanes of the packed counts ``v``, as a list: a `memoryview` cast of 1-8 byte lanes, slices past that."""
+    size, fmt = arr.ray_lanes[:2]
+    raw = v.to_bytes(size * len(arr.direction_cells[1]), "little")
+    if fmt is not None:
+        return memoryview(raw).cast(fmt).tolist()
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _tope_counts(arr, pos, neg, rule):
+    """Weighted ray count in each direction cell, as integers over `Arrangement.int_weights`' denominator."""
+    return _lanes(arr, _packed_counts(arr, pos, neg, rule))
+
+
+def _min_count(arr, pos, neg, rule):
     """Minimize the ray count over all directions, given the residual sign masks of q.
 
     The count is constant on each direction cell, so the minimum is taken over
-    the cached cell sign masks (`_tope_counts`); the witness is the first
-    minimizing cell in cell order.
+    the cells' counts (`_tope_counts`); the witness is the first minimizing
+    cell in cell order.
     """
-    counts = _tope_counts(arr, pos, neg, rule, masks)
+    counts = _tope_counts(arr, pos, neg, rule)
     if not counts:
         return Fraction(0), _unit_direction(arr.dimension)
     best = min(counts)
-    return Fraction(best, arr.weight_tables[0]), arr.direction_cells[0][counts.index(best)]
+    return Fraction(best, arr.int_weights[0]), arr.direction_cells[0][counts.index(best)]
 
 
 def _masks_at(arr, q):
@@ -193,7 +230,7 @@ def _depth_at_masks(arr, pos, neg, kind):
     best, u = _min_count(arr, pos, neg, rule)
     cert = DepthCertificate(u, best, rule)
     if kind is _TRD:
-        return min(arr.total_weight / (arr.dimension + 1), best), cert
+        return min(arr.trd_cap, best), cert
     return best, cert
 
 
@@ -203,8 +240,7 @@ def regression_depth(arr, q):
         return _depth_at_masks(arr, 0, 0, _RD)
     slot = arr._query(q)
     if slot.rd is None:
-        slot.hits = _cell_masks(arr, slot.pos, slot.neg, "closed")  # RD' and HED read them too
-        best, u = _min_count(arr, slot.pos, slot.neg, "closed", slot.hits)
+        best, u = _min_count(arr, slot.pos, slot.neg, "closed")
         slot.rd = best, DepthCertificate(u, best, "closed")
     return slot.rd
 
@@ -263,8 +299,7 @@ def open_regression_depth(arr, q):
     s * (a.u) <= 0 holds exactly when s * (a.u) < 0 or a.u = 0: the open and
     closed counts agree in every direction, and RD' is RD with the same first
     minimizing cell. It is then read from q's record (`regression_depth`,
-    which fills it if RD has not run yet). Otherwise `_open_depth` runs, on
-    RD's closed hit sets when the record holds them.
+    which fills it if RD has not run yet). Otherwise `_open_depth` runs.
     """
     if not arr.hyperplanes:
         return _depth_at_masks(arr, 0, 0, _RD_OPEN)
@@ -272,49 +307,31 @@ def open_regression_depth(arr, q):
     if not slot.zero:
         rd, cert = regression_depth(arr, q)
         return rd, DepthCertificate(cert.direction, rd, "open")
-    return _open_depth(arr, slot.pos, slot.neg, slot.hits)
+    return _open_depth(arr, slot.pos, slot.neg)
 
 
-def _open_groups(arr, pos, neg, zero, hits=None):
+def _open_groups(arr, pos, neg, zero):
     """The open ray count off the incident set ``zero``, minimised over the direction cells of each pattern.
 
     Returns {pattern: (count, index)}: a pattern is the cell's positive
     signs on ``zero`` (tp & zero), count its least open count (integers over
-    `arr.weight_tables`' denominator) and index the first direction cell
+    `Arrangement.int_weights`' denominator) and index the first direction cell
     that has it. Direction cells are open, so no cell sign is 0 and the
     residual signs are 0 on ``zero``: the incident hyperplanes add nothing
     to the count of (pos, neg), and they add w(zero & (plus ^ tp)) under the
     perturbed signs whose positive ones are ``plus``. The keys are the
     patterns whose open cone is not empty.
-
-    The closed rule counts every incident hyperplane in every cell and
-    agrees with the open rule off them, so a cell's open count is its
-    closed count less w(zero). The groups are therefore read off the closed
-    counts, on the closed hit sets ``hits`` when the caller has them (RD's,
-    from q's record).
     """
     groups = {}
-    for j, (count, (tp, _)) in enumerate(zip(_tope_counts(arr, pos, neg, "closed", hits), arr.direction_cells[1])):
+    for j, (count, (tp, _)) in enumerate(zip(_tope_counts(arr, pos, neg, "open"), arr.direction_cells[1])):
         key = tp & zero
         hit = groups.get(key)
         if hit is None or count < hit[0]:
             groups[key] = (count, j)
-    shift = _weights(arr, [zero])[0]
-    return {key: (count - shift, j) for key, (count, j) in groups.items()}
+    return groups
 
 
-def _weights(arr, masks):
-    """The weight of the hyperplanes in each of ``masks``, as integers over `arr.weight_tables`' denominator."""
-    _, tables = arr.weight_tables
-    if tables is None:
-        return list(map(int.bit_count, masks))
-    out = [tables[0][m & 255] for m in masks]
-    for c, t in enumerate(tables[1:], 1):
-        out = [w + t[m >> 8 * c & 255] for w, m in zip(out, masks)]
-    return out
-
-
-def _open_depth(arr, pos, neg, hits=None):
+def _open_depth(arr, pos, neg):
     """`open_regression_depth` of a nonempty arrangement, from the residual sign masks.
 
     One incident normal has no circuit, and two have one only when they are
@@ -324,8 +341,7 @@ def _open_depth(arr, pos, neg, hits=None):
 
     With three or more incident normals, or two equal ones, one pass over the
     direction cells groups them by their pattern on the incident set
-    (`_open_groups`, on the closed hit sets ``hits`` when RD has kept them
-    in q's record). A pattern's open cone is empty exactly when no cell has
+    (`_open_groups`). A pattern's open cone is empty exactly when no cell has
     it, so by Gordan's alternative the incident normals have no circuit when
     all 2^m patterns occur: q is locally generic and no circuit is read.
     Otherwise the incident normals' circuits (`Arrangement._circuits_among`)
@@ -350,7 +366,7 @@ def _open_depth(arr, pos, neg, hits=None):
 
     den, tables = arr.weight_tables
     reps = arr.direction_cells[0]
-    groups = _open_groups(arr, pos, neg, zero, hits)
+    groups = _open_groups(arr, pos, neg, zero)
     if len(groups) < 1 << m:
         order = sorted((count, j, key) for key, (count, j) in groups.items())
         deepest = None
@@ -381,7 +397,7 @@ def _open_depth(arr, pos, neg, hits=None):
 
 def truncated_regression_depth(arr, q):
     """TRD = min(total weight / (d+1), regression depth), with RD read from q's record."""
-    return min(arr.total_weight / (arr.dimension + 1), regression_depth(arr, q)[0])
+    return min(arr.trd_cap, regression_depth(arr, q)[0])
 
 
 def oracle_depth(arr, q, samples=32, seed=0):
@@ -491,19 +507,27 @@ def deepest_point(arr):
     from a face to a face of its boundary, so the scan over
     `cells.candidate_points` is exact in any d: the vertices when the normals
     span R^d, one representative per face otherwise. Ties go to the smallest
-    point. The scan reads each candidate as an integer point (nums, den) and
-    its masks with `Arrangement._signs`; only the returned point becomes
-    `Fraction`s.
+    point. The scan reads each candidate as an integer point (nums, den),
+    its masks with `Arrangement._signs` and its packed closed counts. A
+    candidate with a lane below the best count so far (`_above`) can neither
+    beat nor tie it, so only the others have their minimum read. Only the
+    returned point becomes `Fraction`s.
     """
     if len(arr) == 0:
         raise NoDeepPoint("empty arrangement has no deepest point")
-    best_val = best_pt = best_cert = None
+    best = best_pt = best_cell = None
     for nums, den in _integer_candidates(arr)[0]:  # a scan, so the plain masks: the record stays with the caller's q
-        val, cert = _depth_at_masks(arr, *arr._signs(nums, den), _RD)
-        if best_val is None or val > best_val or (val == best_val and _lex_less((nums, den), best_pt)):
-            best_val, best_pt, best_cert = val, (nums, den), cert
+        v = _packed_counts(arr, *arr._signs(nums, den), "closed")
+        if best is not None and not _above(arr, v, best - 1):
+            continue
+        counts = _lanes(arr, v)
+        val = min(counts)
+        if best is None or val > best or (val == best and _lex_less((nums, den), best_pt)):
+            best, best_pt, best_cell = val, (nums, den), counts.index(val)
     nums, den = best_pt
-    return tuple([Fraction(v, den) for v in nums]), best_val, best_cert
+    value = Fraction(best, arr.int_weights[0])
+    cert = DepthCertificate(arr.direction_cells[0][best_cell], value, "closed")
+    return tuple([Fraction(v, den) for v in nums]), value, cert
 
 
 def _lex_less(p, q):

@@ -66,14 +66,16 @@ complete every partial transversal through the groups chosen so far to a
 valid set, and cuts a partial choice as soon as too few such indices remain
 to fill the groups left (`_search_max_k`). Those indices are read from the
 pieces on demand, so neither the valid sets nor their subsets are listed.
+Level 1 needs no search: its certificate is the lexicographically first
+valid (d+1)-set, read off the pieces (`_first_valid`).
 
 Without ``strict``, once RD has run at q, the levels k >= 2 are first
 tested on its direction cells. For a cell c with sign masks (tp, tn), the
 closed hit set H_c = full & ~((pos & tp) | (neg & tn)) holds the
-hyperplanes that a ray from q in c meets (those through q at its start);
-RD counts them and keeps them in q's record. A HED with no RD before it
-builds no cells for the test: cold, they would cost more than the search
-saves where no level is refuted.
+hyperplanes that a ray from q in c meets (those through q at its start),
+the ones RD counts; `depth._cell_masks` builds them once a level k >= 2 is
+left to test. A HED with no RD before it builds no cells for the test:
+cold, they would cost more than the search saves where no level is refuted.
 
 Lemma. Groups G_1, ..., G_{d+1} k-enclose q iff every H_c contains one of
 them.
@@ -104,6 +106,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg, linprog
+from .depth import _cell_masks
 from .errors import CertificateError, ExactBudgetExceeded
 from .geometry import Arrangement, evaluate, point, record
 from .tverberg import _packing_size, _planar_depth, _planar_order, coverable_pieces
@@ -288,6 +291,33 @@ def _search_max_k(n, d, pieces, k_cap, node_budget=2_000_000):
     return 0, None
 
 
+def _first_valid(n, d, pieces):
+    """`_search_max_k` at level 1, read off the pieces: (1, groups) for the lexicographically first valid (d+1)-set.
+
+    Returns (0, None) when no set is valid, that is when there is no piece.
+    The first valid set holding a piece p is p with the d + 1 - |p| least
+    indices outside it: the sorted indices of any other such set are no
+    smaller, one by one. The first valid set S = {s_0 < ... < s_d} is the
+    least of these over the pieces, and the search at k = 1 returns it as
+    the groups (s_0), ..., (s_d). Proof: the search takes its first d groups
+    in increasing order of index, and tries them in lexicographic order.
+    Every valid set reached that way has its first d groups no smaller than
+    its d least indices, so no smaller than (s_0, ..., s_{d-1}), where the
+    search stops. It then ends with the least index left that makes a valid
+    set, and that is s_d: a smaller one would give a valid set before S.
+    """
+    first = None
+    for p in pieces:
+        v = p
+        for _ in range(d + 1 - p.bit_count()):
+            v |= ~v & (v + 1)  # the least index outside v
+        if first is None or v & (v ^ first) & -(v ^ first):  # v is first where the two sets differ
+            first = v
+    if first is None:
+        return 0, None
+    return 1, tuple((h,) for h in range(n) if first >> h & 1)
+
+
 def _refuted(hits, d, k):
     """Whether the closed hit sets ``hits`` prove that level k has no k-enclosure, by the propagation rule.
 
@@ -412,9 +442,10 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
     docstring (`_planar_max_k`), with no circuit, piece or search; the
     groups are then sorted and ordered by their first index. Otherwise
     (d = 1 or 3, or ``strict``) `_search_max_k` searches the levels over
-    the pieces kept in the record; without ``strict``, when RD has kept
-    its closed hit sets there, it starts at the highest level k >= 2 that
-    they do not refute (`_refuted`), or at 1. The path depends only on d and
+    the pieces kept in the record; without ``strict``, when RD has run at q,
+    it starts at the highest level k >= 2 that the closed hit sets of RD's
+    direction cells do not refute (`_refuted`). Level 1 is read off the
+    pieces with no search (`_first_valid`). The path depends only on d and
     ``strict``. Exact for n <= exact_threshold and d <= 3; larger instances
     raise ExactBudgetExceeded carrying the lower bound 1 when some
     (d+1)-set is valid, else 0: without ``strict`` that is when HTvD >= 1,
@@ -440,13 +471,19 @@ def hyperplane_enclosing_depth(arr: Arrangement, q, strict=False, exact_threshol
         k, groups = _planar_max_k(arr, q, k_cap)
     else:
         pieces = coverable_pieces(arr, q)
+        slot = arr._query(q)
         if strict:
             pieces = [p for p in pieces if p.bit_count() == d + 1]
-        elif k_cap >= 2 and (hits := arr._query(q).hits) is not None:  # RD's, when it has run at q
-            hits = sorted(set(hits), key=int.bit_count)
+        elif k_cap >= 2 and slot.rd is not None:  # RD has built the direction cells
+            hits = sorted(set(_cell_masks(arr, slot.pos, slot.neg)), key=int.bit_count)
             while k_cap >= 2 and _refuted(hits, d, k_cap):
                 k_cap -= 1
-        k, groups = _search_max_k(n, d, pieces, k_cap)
+        if k_cap >= 2:
+            k, groups = _search_max_k(n, d, pieces, k_cap)
+        elif k_cap == 1:
+            k, groups = _first_valid(n, d, pieces)
+        else:
+            return 0, None
     if k == 0:
         return 0, None
     return k, EnclosureCertificate(k, groups, q)

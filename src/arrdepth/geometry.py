@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import random
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -178,17 +179,16 @@ class _Query:
     """One query's state at an arrangement: the point q, its residual sign masks, and what the measures fill in.
 
     pos, neg and zero have bit i set when a_i . q - b_i is > 0, < 0 and = 0.
-    hits (the closed hit set of each direction cell, `depth._cell_masks`),
     rd (RD with its certificate), pieces (`tverberg.coverable_pieces`),
     packing (the size of their maximum packing) and order (in the plane,
     `tverberg._order` at q) are None until a measure sets them.
     """
 
-    __slots__ = ("q", "pos", "neg", "zero", "hits", "rd", "pieces", "packing", "order")
+    __slots__ = ("q", "pos", "neg", "zero", "rd", "pieces", "packing", "order")
 
     def __init__(self, q, pos, neg, zero):
         self.q, self.pos, self.neg, self.zero = q, pos, neg, zero
-        self.hits = self.rd = self.pieces = self.packing = self.order = None
+        self.rd = self.pieces = self.packing = self.order = None
 
 
 @record
@@ -267,6 +267,13 @@ class Arrangement:
         return cells.signed_normal_order([a for a, _ in self.int_rows])
 
     @cached_property
+    def int_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(den, nums): the weights as integers nums over one common denominator den (1 when they are all integers)."""
+        weights = [h.weight for h in self.hyperplanes]
+        den = math.lcm(*(w.denominator for w in weights))
+        return den, tuple(w.numerator * (den // w.denominator) for w in weights)
+
+    @cached_property
     def weight_tables(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
         """The weights as integers over one common denominator, for bitmask sums.
 
@@ -275,11 +282,9 @@ class Arrangement:
         is sum(tables[c][m >> 8c & 255]) / den, where tables[c][b] is the sum
         of the integer weights of hyperplanes 8c + j over the bits j of b.
         """
-        weights = [h.weight for h in self.hyperplanes]
-        if all(w == 1 for w in weights):
+        den, nums = self.int_weights
+        if den == 1 and all(w == 1 for w in nums):
             return 1, None
-        den = math.lcm(*(w.denominator for w in weights))
-        nums = [w.numerator * (den // w.denominator) for w in weights]
         tables = []
         for start in range(0, len(nums), 8):
             chunk = nums[start : start + 8]
@@ -289,6 +294,44 @@ class Arrangement:
                 table[b] = table[b & (b - 1)] + (chunk[low] if low < len(chunk) else 0)
             tables.append(tuple(table))
         return den, tuple(tables)
+
+    @cached_property
+    def ray_lanes(self) -> tuple:
+        """Every direction cell's ray count in one integer: the packed lanes that `depth` counts with.
+
+        Cell j of `direction_cells` is lane j, the bits 8sj to 8s(j+1) - 1 of
+        an integer, s bytes wide: the least of 1, 2, 4 or 8 whose top bit
+        stays clear at the integer total weight W (`int_weights`), else one
+        byte more than W needs. Let P_i (N_i) hold w_i in the lanes of the
+        cells with a_i . u > 0 (< 0); no cell sign is 0, so N_i = w_i ones -
+        P_i. Returns (s, fmt, W, ones, full, tables): fmt is the `memoryview`
+        format of an s-byte lane (None past 8 bytes or on a big-endian host),
+        ones has 1 in every lane, full = W ones, and tables[c] = (plus, minus)
+        with plus[b] (minus[b]) the sum of P_i (N_i) over i = 4c + j, j a bit
+        of b.
+        """
+        _, weights = self.int_weights
+        masks = self.direction_cells[1]
+        total = sum(weights)
+        size = next((s for s in (1, 2, 4, 8) if total < 1 << 8 * s - 1), total.bit_length() // 8 + 1)
+        fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size) if sys.byteorder == "little" else None
+        one, nil = (1).to_bytes(size, "little"), bytes(size)
+        ones = int.from_bytes(one * len(masks), "little")
+        tables = []
+        for start in range(0, len(weights), 4):
+            plus, minus = [0] * 16, [0] * 16
+            for j, w in enumerate(weights[start : start + 4]):
+                lanes = int.from_bytes(b"".join([one if tp >> start + j & 1 else nil for tp, _ in masks]), "little")
+                for b in range(1 << j, 2 << j):
+                    plus[b] = plus[b ^ 1 << j] + w * lanes
+                    minus[b] = minus[b ^ 1 << j] + w * (ones - lanes)
+            tables.append((plus, minus))
+        return size, fmt, total, ones, total * ones, tuple(tables)
+
+    @cached_property
+    def trd_cap(self) -> Fraction:
+        """w(A) / (d + 1), the value at which TRD truncates RD."""
+        return self.total_weight / (self.dimension + 1)
 
     def _signs(self, nums, den) -> tuple[int, int]:
         """(pos, neg) bitmasks of the signs of a_i . nums - b_i den: a point nums / den, or a direction with den = 0."""

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import linalg
 from .cells import _angle_cmp, _angle_half, _ratio_cmp
-from .depth import _weights, directional_count, regression_depth
+from .depth import directional_count, regression_depth
 from .errors import (
     DimensionError,
     FlatError,
@@ -187,7 +187,7 @@ def solve_planar_transversal(a1: Arrangement, a2: Arrangement) -> TransversalSol
 
     sides = []
     for arr in (a1, a2):
-        weights = _weights(arr, [1 << i for i in range(len(arr))])
+        weights = arr.int_weights[1]
         sides.append((list(zip(arr.int_rows, weights)), sum(weights)))
     by_point = cmp_to_key(lambda p, r: _ratio_cmp(p[0], r[0]))
     for u in candidates:
@@ -220,7 +220,7 @@ def solve_planar_transversal(a1: Arrangement, a2: Arrangement) -> TransversalSol
             q = (t * u[0], t * u[1])
             counts = []
             for arr, par in zip((a1, a2), pars):
-                par = Fraction(par, arr.weight_tables[0])
+                par = Fraction(par, arr.int_weights[0])
                 left = directional_count(arr, q, (-u[0], -u[1])) - par
                 counts.append(RayCounts(left, directional_count(arr, q, u) - par, par))
             sol = TransversalSolution((Fraction(u[0]), Fraction(u[1])), t, q, tuple(counts), "exact")

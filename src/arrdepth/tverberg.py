@@ -82,7 +82,7 @@ from itertools import combinations
 
 from . import linprog
 from .cells import candidate_points
-from .depth import regression_depth
+from .depth import _above, _packed_counts, regression_depth
 from .errors import ExactBudgetExceeded, PartitionError
 from .geometry import point, record
 
@@ -139,8 +139,14 @@ def solve_tverberg(arr, r, seed=0):
     pieces exist, those become the parts and every other hyperplane is dealt
     onto them in turn, which cannot lower a part's depth. The core keeps the
     packing small and the dealing keeps the parts, and so their exact
-    verification, small. In the plane a candidate runs `max_packing` only
-    when the rule of the module docstring allows r pieces there.
+    verification, small. A candidate runs `max_packing` only when r pieces
+    may exist there. In the plane that is when the rule of the module
+    docstring allows them. Elsewhere, once a candidate has been packed in
+    vain, it is when RD(sub, q) >= r, read as "every lane of the packed
+    closed counts exceeds r - 1" (`depth._above`): with unit weights each of
+    r parts of depth >= 1 adds one to every ray's count, so RD >= HTvD.
+    Below the Tverberg bound the first candidate usually succeeds, and the
+    direction cells the test needs would cost more than the scan.
 
     The scan is deterministic: ``seed`` is accepted for callers that pass
     one and does not affect the result.
@@ -152,13 +158,19 @@ def solve_tverberg(arr, r, seed=0):
     n = len(arr)
     planar = arr.dimension == 2
     core = arr.subset(range(min(n, r * (arr.dimension + 1))))
+    failed = False  # whether some candidate has been packed in vain
     for sub in (core, arr) if len(core) < n else (arr,):
+        full = (1 << len(sub)) - 1
         for q in candidate_points(sub):
             pos, zero = sub.sign_masks(q)  # plain masks: a scan keeps no record
-            if planar and _planar_size(len(sub), *_order(sub, pos, zero)) < r:
-                continue  # the rule's upper bound alone: no r disjoint pieces at q
+            if planar:
+                if _planar_size(len(sub), *_order(sub, pos, zero)) < r:
+                    continue  # the rule's upper bound alone: no r disjoint pieces at q
+            elif failed and not _above(sub, _packed_counts(sub, pos, full & ~(pos | zero), "closed"), r - 1):
+                continue  # RD(sub, q) < r
             pieces = max_packing(_pieces(sub, pos, zero))
             if len(pieces) < r:
+                failed = True
                 continue
             parts = [[i for i in range(n) if piece >> i & 1] for piece in pieces[:r]]
             used = sum(pieces[:r])

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from test_kernel import _arrangement, _unpruned_search, _valid_sets
+from test_kernel import _arrangement, _unpruned_search, _valid_family, _valid_sets
 from test_sign_rules import degenerate_case
 
 from arrdepth import depth, enclosing, linalg
 from arrdepth.depth import deepest_point, regression_depth
 from arrdepth.enclosing import (
     EnclosureCertificate,
+    _first_valid,
     _refuted,
     hyperplane_enclosing_depth,
     point_enclosing_depth,
@@ -174,7 +175,7 @@ def _fresh(arr):
 def _hits(arr, q):
     """The distinct closed hit sets of the direction cells at q, smallest first."""
     pos, zero = arr.sign_masks(q)
-    return sorted(set(depth._cell_masks(arr, pos, ((1 << len(arr)) - 1) & ~(pos | zero), "closed")), key=int.bit_count)
+    return sorted(set(depth._cell_masks(arr, pos, ((1 << len(arr)) - 1) & ~(pos | zero))), key=int.bit_count)
 
 
 def test_refuted_levels_have_no_enclosure():
@@ -205,57 +206,106 @@ def test_search_never_receives_a_refuted_level(monkeypatch):
 
     The certificate is the one the search finds from HED's start level
     min(n // (d+1), packing size) with no refutation, which is where HED
-    with no RD before it, and strict HED, start.
+    with no RD before it, and strict HED, start. Level 1 is read off the
+    pieces (`_first_valid`) in place of a search, so each HED makes one
+    entry, search or read, and none when no piece leaves a level to try.
     """
-    search = enclosing._search_max_k
+    search, first = enclosing._search_max_k, enclosing._first_valid
     received = []
 
     def spy(n, d, pieces, k_cap, *args, **kwargs):
         received.append(k_cap)
         return search(n, d, pieces, k_cap, *args, **kwargs)
 
+    def read(n, d, pieces):
+        received.append(1)
+        return first(n, d, pieces)
+
     monkeypatch.setattr(enclosing, "_search_max_k", spy)
+    monkeypatch.setattr(enclosing, "_first_valid", read)
     lowered = 0
     for arr, qs in _refutation_cases():
         n, d = len(arr), arr.dimension
         for q in qs:
             start = min(n // (d + 1), _packing_size(_fresh(arr), q))
+            entry = [start] if start else []
             expected = search(n, d, coverable_pieces(_fresh(arr), q), start)
             cold = _fresh(arr)
             received.clear()
             k, cert = hyperplane_enclosing_depth(cold, q)
-            assert received == [start] and (k, cert.groups if cert else None) == expected, (arr, q)
+            assert received == entry and (k, cert.groups if cert else None) == expected, (arr, q)
             warm = _fresh(arr)
             regression_depth(warm, q)
             received.clear()
             k, cert = hyperplane_enclosing_depth(warm, q)
-            assert len(received) == 1 and received[0] <= start
-            assert received[0] < 2 or not _refuted(_hits(arr, q), d, received[0])
+            assert len(received) == len(entry) and received <= entry
+            assert not received or received[0] < 2 or not _refuted(_hits(arr, q), d, received[0])
             assert (k, cert.groups if cert else None) == expected, (arr, q)
-            lowered += received[0] < start
+            lowered += received < entry
             received.clear()
             hyperplane_enclosing_depth(warm, q, strict=True)
-            assert received == [start]  # strict HED refutes nothing
+            assert received == entry  # strict HED refutes nothing
     assert lowered >= 20, lowered
 
 
-def test_hed_reads_the_hit_sets_of_rd(monkeypatch):
-    """HED builds no cell masks: after RD at q it reads RD's, and with no RD before it, it reads none."""
+def test_hed_builds_hit_sets_only_after_rd_above_level_1(monkeypatch):
+    """At most one `_cell_masks` pass per HED: none without RD at q before it, and none when no level k >= 2 is left."""
     passes = []
     build = depth._cell_masks
 
     def counted(*args):
-        passes.append(args[3])
+        passes.append("hits")
         return build(*args)
 
     monkeypatch.setattr(depth, "_cell_masks", counted)
+    monkeypatch.setattr(enclosing, "_cell_masks", counted)
+    built = 0
     for arr, qs in _refutation_cases():
+        n, d = len(arr), arr.dimension
         for q in qs:
+            start = min(n // (d + 1), _packing_size(_fresh(arr), q))
             warm = _fresh(arr)
             passes.clear()
             regression_depth(warm, q)
+            assert passes == []  # RD keeps no hit sets
             hyperplane_enclosing_depth(warm, q)
-            assert passes == ["closed"]  # RD's one pass
+            assert passes == (["hits"] if start >= 2 else [])
+            built += len(passes)
             passes.clear()
             hyperplane_enclosing_depth(_fresh(arr), q)
             assert passes == []
+    assert built >= 20, built
+
+
+def test_level_one_is_read_off_the_pieces():
+    """`_first_valid` gives the (k, groups) of the unpruned search at level 1.
+
+    On random families of valid (d+1)-sets passed as the pieces, at d = 1-3,
+    and on the coverable pieces of real queries: plain at d = 1 and 3, and
+    strict (the (d+1)-pieces alone) at d = 1-3.
+    """
+    rng = random.Random("enclosing:level-one")
+    found = 0
+    for trial in range(300):
+        d = 1 + trial % 3
+        n = rng.randint(d + 1, 9)
+        valid = _valid_family(rng, n, d)
+        expected = _unpruned_search(n, d, valid, 1)[:2]
+        assert _first_valid(n, d, valid) == expected, (n, d, sorted(valid))
+        found += expected[0]
+    cases = [(arr, qs[:3]) for arr, qs in _refutation_cases()]
+    cases += [degenerate_case(seed, 2, n) for seed in range(6) for n in (6, 9)]
+    plain = strict = 0
+    for arr, qs in cases:
+        n, d = len(arr), arr.dimension
+        for q in qs:
+            pieces = coverable_pieces(arr, q)
+            if d != 2:
+                expected = _unpruned_search(n, d, _valid_sets(n, d, pieces), 1)[:2]
+                assert _first_valid(n, d, pieces) == expected, (arr, q)
+                plain += expected[0]
+            full = [p for p in pieces if p.bit_count() == d + 1]
+            expected = _unpruned_search(n, d, set(full), 1)[:2]
+            assert _first_valid(n, d, full) == expected, (arr, q)
+            strict += expected[0]
+    assert min(found, plain, strict) >= 50, (found, plain, strict)

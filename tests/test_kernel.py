@@ -473,7 +473,7 @@ def test_planar_enclosing_depth_fuzz(case):
 
 
 def test_planar_enclosing_depth_runs_no_search(monkeypatch):
-    """At d = 2 without strict no level is searched; strict and d = 3 still search."""
+    """At d = 2 without strict no level is searched; strict and d = 3 still search from a level k >= 2."""
     def refuse(*args, **kwargs):
         raise AssertionError("_search_max_k called")
 
@@ -484,7 +484,7 @@ def test_planar_enclosing_depth_runs_no_search(monkeypatch):
             for q in qs:
                 found += enclosing.hyperplane_enclosing_depth(arr, q)[0] > 0
     assert found >= 10
-    arr2, arr3 = generate_instance(1, 2, 9, "generic"), generate_instance(1, 3, 7, "generic")
+    arr2, arr3 = generate_instance(1, 2, 9, "generic"), generate_instance(1, 3, 9, "generic")
     for arr, strict in ((arr2, True), (arr3, False), (arr3, True)):
         with pytest.raises(AssertionError, match="_search_max_k called"):
             enclosing.hyperplane_enclosing_depth(arr, (Fraction(1, 3),) * arr.dimension, strict=strict)

@@ -139,6 +139,7 @@ def test_the_slot_holds_one_query():
     # RD, the pieces, their packing and the planar order were all filled in for the last query
     assert None not in (slot.pieces, slot.packing, slot.rd, slot.order)
     cached = {"circuits", "int_rows", "direction_cells", "signed_normals", "weight_tables", "total_weight"}
+    cached |= {"int_weights", "ray_lanes", "trd_cap"}  # per arrangement, like the names above: no query state
     assert set(vars(arr)) - before <= cached | {"_slot"}  # nothing else keeps a query
 
 

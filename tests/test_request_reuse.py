@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from count_oracle import weights
 from open_depth_oracle import per_pattern_open_depth
 from test_sign_rules import degenerate_case
 
@@ -116,7 +117,7 @@ def _tied_patterns(arr, pos, neg, zero):
         return 0
     tied = 0
     for plus in _new_perturbed_cells(linalg.signed_circuits([a for a, _ in arr.int_rows], zero), zero, groups):
-        totals = [count + depth._weights(arr, [plus ^ key])[0] for key, (count, _) in groups.items()]
+        totals = [count + weights(arr, [plus ^ key])[0] for key, (count, _) in groups.items()]
         tied += totals.count(min(totals)) > 1
     return tied
 
